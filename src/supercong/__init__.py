@@ -1,17 +1,15 @@
 """Exact-arithmetic verification of truncated hypergeometric supercongruences."""
 
 from .exact import (
-    CycloRational,
+    TRACE_I,
+    TRACE_OMEGA,
+    ConjugatePair,
     NegativeValuation,
     Rational,
     ResidueInt,
-    Root,
-    collapsed_poch3,
-    collapsed_poch4,
     congruent,
     half_harmonic2,
     pochhammer,
-    pochhammer_cyclo,
     reduce_mod,
     vp,
 )
@@ -19,7 +17,6 @@ from .eta import DEFAULT_LIMIT, IntSeries, OutOfRange, a_p, eta_factor_series, f
 from .hypergeom import (
     FloatOutcome,
     IdentityOutcome,
-    NonRealResult,
     PoleParameter,
     SeriesSpec,
     ZeroDenominatorPochhammer,
@@ -36,7 +33,6 @@ from .hypergeom import (
 )
 from .padic_gamma import GammaEvaluator, gamma_p, gamma_p_int, sp
 from .variety import (
-    FiberDistribution,
     TooLarge,
     brute_force_N,
     check_trace_relation,

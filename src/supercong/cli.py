@@ -22,6 +22,7 @@ from .hypergeom import (
 from .padic_gamma import gamma_p
 from .variety import brute_force_N, count_N
 from .verifier import (
+    DEFAULT_CHECKS,
     CheckId,
     ConfigError,
     default_workers,
@@ -63,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="sweep congruence checks over a prime range")
-    verify.add_argument("--checks", type=_check_set,
-                        default="a1,a2,a3,a4,swisher,b4,b6,c5,wolstenholme,trace")
+    verify.add_argument("--checks", type=_check_set, default=DEFAULT_CHECKS)
     verify.add_argument("--pmin", type=int, default=3)
     verify.add_argument("--pmax", type=int, default=100)
     verify.add_argument("--workers", type=int, default=None,
@@ -143,6 +143,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_gammap(args) -> int:
+    if args.x.denominator % args.p == 0:
+        raise ConfigError(f"--x {args.x} is not {args.p}-integral")
     value = gamma_p(args.x, args.p, args.k)
     sys.stdout.write(f"Gamma_{args.p}({args.x}) = {value}\n")
     return 0

@@ -1,16 +1,18 @@
-"""Exact scalar arithmetic: rationals, residues mod p^k, quadratic cyclotomic elements.
+"""Exact scalar arithmetic: rationals, residues mod p^k, Pochhammer symbols.
 
 Everything here is exact.  Rationals are ``fractions.Fraction`` (always reduced,
-positive denominator), residues live in Z/p^k, and the two cyclotomic fields
-Q(i) and Q(omega) are implemented with hard-coded reduction rules.  Congruence
-between rationals is valuation-based: x = y (mod p^k) means vp(x - y) >= k.
+positive denominator) and residues live in Z/p^k.  The only non-rational
+parameters the checks use are Galois-conjugate pairs u + y*zeta, u + y*zeta'
+over Q(i) or Q(omega); the product of their two Pochhammer symbols is a
+product of rational quadratics, so a ``ConjugatePair`` stands for both and
+no cyclotomic arithmetic is needed.  Congruence between rationals is
+valuation-based: x = y (mod p^k) means vp(x - y) >= k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -134,130 +136,6 @@ class ResidueInt:
         return f"{self.value} (mod {self.p}^{self.k})"
 
 
-class Root(Enum):
-    """The two quadratic roots of unity in use: i (zeta^2 = -1) and omega (zeta^2 = -1 - zeta)."""
-
-    I = "i"
-    OMEGA = "omega"
-
-
-_ROOT_SYMBOL = {Root.I: "i", Root.OMEGA: "w"}
-
-
-@dataclass(frozen=True)
-class CycloRational:
-    """An element re + im*zeta of Q(i) or Q(omega), tagged by the root.
-
-    Elements of different tags never mix; binary operations raise ValueError on
-    a tag mismatch.  Plain ints and Fractions coerce into either field.
-    """
-
-    re: Fraction
-    im: Fraction
-    root: Root
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
-
-    @staticmethod
-    def zeta(root: Root) -> "CycloRational":
-        """The root of unity itself: i or omega."""
-        return CycloRational(Fraction(0), Fraction(1), root)
-
-    def _coerce(self, other) -> "CycloRational":
-        if isinstance(other, CycloRational):
-            if other.root is not self.root:
-                raise ValueError(f"cannot mix Q({self.root.value}) and Q({other.root.value})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloRational(Fraction(other), Fraction(0), self.root)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloRational(self.re + other.re, self.im + other.im, self.root)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloRational(self.re - other.re, self.im - other.im, self.root)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return CycloRational(-self.re, -self.im, self.root)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        # zeta^2 = -1 for i, zeta^2 = -1 - zeta for omega
-        if self.root is Root.I:
-            return CycloRational(a * c - b * d, a * d + b * c, self.root)
-        return CycloRational(a * c - b * d, a * d + b * c - b * d, self.root)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in cyclotomic field")
-        inv = other.conj() * CycloRational(Fraction(1, 1) / n, Fraction(0), self.root)
-        return self * inv
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return (CycloRational(Fraction(1), Fraction(0), self.root) / self) ** (-exponent)
-        out = CycloRational(Fraction(1), Fraction(0), self.root)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def conj(self) -> "CycloRational":
-        """Galois conjugate: i -> -i, omega -> omega^2 = -1 - omega."""
-        if self.root is Root.I:
-            return CycloRational(self.re, -self.im, self.root)
-        return CycloRational(self.re - self.im, -self.im, self.root)
-
-    def norm(self) -> Fraction:
-        """Field norm conj(x) * x, always a plain rational."""
-        prod = self * self.conj()
-        assert prod.im == 0
-        return prod.re
-
-    def as_rational(self) -> Fraction:
-        """The value as a Fraction; raises ValueError unless the im-part is exactly 0."""
-        if self.im != 0:
-            raise ValueError(f"{self} has nonzero im-part")
-        return self.re
-
-    def __str__(self) -> str:
-        return f"{self.re} + {self.im}*{_ROOT_SYMBOL[self.root]}"
-
-
 def pochhammer(a: RationalLike, n: int) -> Fraction:
     """Rising factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1.  Exact."""
     if n < 0:
@@ -269,35 +147,45 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
     return out
 
 
-def pochhammer_cyclo(a: CycloRational, n: int) -> CycloRational:
-    """Rising factorial in the tagged quadratic field."""
-    if n < 0:
-        raise ValueError("pochhammer index must be >= 0")
-    out = CycloRational(Fraction(1), Fraction(0), a.root)
-    for j in range(n):
-        out = out * (a + j)
-    return out
+TRACE_I = 0  # i + (-i)
+TRACE_OMEGA = -1  # omega + omega^2
 
 
-def collapsed_poch3(u: RationalLike, v: RationalLike, p: int, k: int) -> Fraction:
-    """prod_{j<k} ((u+j)^3 + v^3 p^3): the rational collapse of the conjugate triple
-    (u+vp)_k (u+vp*w)_k (u+vp*w^2)_k over the cube roots of unity."""
-    u, v = Fraction(u), Fraction(v)
-    shift = v**3 * p**3
-    out = Fraction(1)
-    for j in range(k):
-        out *= (u + j) ** 3 + shift
-    return out
+@dataclass(frozen=True)
+class ConjugatePair:
+    """The two parameters u + y*zeta and u + y*zeta', with zeta' the Galois conjugate of zeta.
 
+    zeta + zeta' = trace (TRACE_I or TRACE_OMEGA) and zeta*zeta' = 1, so the
+    pair's joint Pochhammer factor at offset k is the rational quadratic
+    (u+k)^2 + trace*y*(u+k) + y^2.
+    """
 
-def collapsed_poch4(u: RationalLike, v: RationalLike, p: int, k: int) -> Fraction:
-    """prod_{j<k} ((u+j)^4 - v^4 p^4): the quartic analogue over the fourth roots of unity."""
-    u, v = Fraction(u), Fraction(v)
-    shift = v**4 * p**4
-    out = Fraction(1)
-    for j in range(k):
-        out *= (u + j) ** 4 - shift
-    return out
+    u: Fraction
+    y: Fraction
+    trace: int
+    # factor(k) = (k + linear) * k + constant, expanded once
+    linear: Fraction = field(init=False, repr=False, compare=False)
+    constant: Fraction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        u, y = Fraction(self.u), Fraction(self.y)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "linear", 2 * u + self.trace * y)
+        object.__setattr__(self, "constant", u * (u + self.trace * y) + y * y)
+
+    def factor(self, k: int) -> Fraction:
+        """(u + k + y*zeta)(u + k + y*zeta')."""
+        return (k + self.linear) * k + self.constant
+
+    def pochhammer(self, n: int) -> Fraction:
+        """(u + y*zeta)_n (u + y*zeta')_n."""
+        if n < 0:
+            raise ValueError("pochhammer index must be >= 0")
+        out = Fraction(1)
+        for k in range(n):
+            out *= self.factor(k)
+        return out
 
 
 def half_harmonic2(p: int) -> Fraction:

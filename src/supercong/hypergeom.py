@@ -1,13 +1,16 @@
-"""Exact truncated hypergeometric series over Q and over Q(i)/Q(omega).
+"""Exact truncated hypergeometric series over Q.
 
 All sums are evaluated term-by-term through the multiplicative recurrence
 t_{k+1} = t_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1); a from-scratch
 evaluator built on Pochhammer symbols is retained as an internal oracle.
-On top of the generic evaluator sit the concrete sums and identity instances
-the verifier checks: Kilbourn's 4F3, the Van Hamme 6F5(-1), Whipple's
-terminating 6F5 with its fully rational closed form, Bailey's 4F3
-transformation specialized at cube-root-of-unity parameters, and the
-fourth-root specialization whose two sides collapse to plain rationals.
+A parameter is a rational or a ``ConjugatePair``, which stands for two
+Galois-conjugate parameters in Q(i) or Q(omega) and contributes their joint
+rational quadratic factor, so every sum stays in Q.  On top of the generic
+evaluator sit the concrete sums and identity instances the verifier checks:
+Kilbourn's 4F3, the Van Hamme 6F5(-1), Whipple's terminating 6F5 with its
+fully rational closed form, Bailey's 4F3 transformation specialized at
+cube-root-of-unity parameters, and the fourth-root specialization of the
+Whipple closed form.
 """
 
 from __future__ import annotations
@@ -15,11 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
-from .exact import CycloRational, Root, pochhammer, pochhammer_cyclo
-
-Scalar = Union[Fraction, CycloRational]
+from .exact import TRACE_I, TRACE_OMEGA, ConjugatePair, pochhammer
 
 
 class ZeroDenominatorPochhammer(ArithmeticError):
@@ -38,99 +38,76 @@ class PoleParameter(ValueError):
     """Identity-check inputs sit on a pole of one of the two sides."""
 
 
-class NonRealResult(ArithmeticError):
-    """A provably real cyclotomic value came out with nonzero im-part (implementation bug)."""
-
-
 @dataclass(frozen=True)
 class SeriesSpec:
     """A truncated pFq: top/bottom parameter lists, argument, and truncation index.
 
     ``terms`` is the truncation index n: the sum runs over k = 0..n inclusive.
-    Scalars must all live in one field: plain rationals, or rationals mixed
-    with cyclotomic elements of a single tag.
+    Each parameter is a rational or a ``ConjugatePair`` (two parameters).
     """
 
-    top: tuple[Scalar, ...]
-    bottom: tuple[Scalar, ...]
+    top: tuple[Fraction | ConjugatePair, ...]
+    bottom: tuple[Fraction | ConjugatePair, ...]
     argument: Fraction
     terms: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "top", tuple(_as_scalar(a) for a in self.top))
-        object.__setattr__(self, "bottom", tuple(_as_scalar(b) for b in self.bottom))
+        object.__setattr__(self, "top", tuple(_as_param(a) for a in self.top))
+        object.__setattr__(self, "bottom", tuple(_as_param(b) for b in self.bottom))
         object.__setattr__(self, "argument", Fraction(self.argument))
         if self.terms < 0:
             raise ValueError("truncation index must be >= 0")
-        self.field_tag()  # reject mixed tags eagerly
-
-    def field_tag(self) -> Optional[Root]:
-        tags = {s.root for s in self.top + self.bottom if isinstance(s, CycloRational)}
-        if len(tags) > 1:
-            raise ValueError("top/bottom parameters mix distinct cyclotomic tags")
-        return tags.pop() if tags else None
 
 
-def _as_scalar(x) -> Scalar:
-    if isinstance(x, CycloRational):
-        return x
-    return Fraction(x)
+def _as_param(x) -> Fraction | ConjugatePair:
+    return x if isinstance(x, ConjugatePair) else Fraction(x)
 
 
-def pfq_truncated(spec: SeriesSpec) -> Scalar:
+def _factor(param: Fraction | ConjugatePair, k: int) -> Fraction:
+    """The factor param contributes to the Pochhammer product at offset k."""
+    if isinstance(param, ConjugatePair):
+        return param.factor(k)
+    return param + k
+
+
+def _rising(param: Fraction | ConjugatePair, n: int) -> Fraction:
+    if isinstance(param, ConjugatePair):
+        return param.pochhammer(n)
+    return pochhammer(param, n)
+
+
+def pfq_truncated(spec: SeriesSpec) -> Fraction:
     """Exact sum_{k=0}^{n} prod(top_i)_k / (prod(bottom_j)_k * k!) * z^k."""
-    tag = spec.field_tag()
-    if tag is None:
-        one: Scalar = Fraction(1)
-        lift = Fraction
-    else:
-        one = CycloRational(Fraction(1), Fraction(0), tag)
-        lift = lambda s: s if isinstance(s, CycloRational) else CycloRational(s, Fraction(0), tag)
-    top = [lift(a) for a in spec.top]
-    bottom = [lift(b) for b in spec.bottom]
-    z = lift(spec.argument)
-
-    total = one
-    term = one
+    total = term = Fraction(1)
     for k in range(spec.terms):
-        for j, b in enumerate(bottom):
-            if not b + k:
+        num = Fraction(1)
+        for a in spec.top:
+            num *= _factor(a, k)
+        den = Fraction(1)
+        for j, b in enumerate(spec.bottom):
+            factor = _factor(b, k)
+            if not factor:
                 raise ZeroDenominatorPochhammer(k + 1, j)
-        num = one
-        for a in top:
-            num = num * (a + k)
-        den = one
-        for b in bottom:
-            den = den * (b + k)
-        term = term * num / den * z / (k + 1)
-        total = total + term
+            den *= factor
+        term = term * num / den * spec.argument / (k + 1)
+        total += term
     return total
 
 
-def pfq_truncated_reference(spec: SeriesSpec) -> Scalar:
+def pfq_truncated_reference(spec: SeriesSpec) -> Fraction:
     """From-scratch evaluation via Pochhammer symbols; the slow oracle for pfq_truncated."""
-    tag = spec.field_tag()
-    if tag is None:
-        one: Scalar = Fraction(1)
-        rising = pochhammer
-        lift = Fraction
-    else:
-        one = CycloRational(Fraction(1), Fraction(0), tag)
-        rising = pochhammer_cyclo
-        lift = lambda s: s if isinstance(s, CycloRational) else CycloRational(s, Fraction(0), tag)
-    z = lift(spec.argument)
-    total = one - one
+    total = Fraction(0)
     for k in range(spec.terms + 1):
-        num = one
+        num = Fraction(1)
         for a in spec.top:
-            num = num * rising(lift(a), k)
-        den = one * math.factorial(k)
+            num *= _rising(a, k)
+        den = Fraction(math.factorial(k))
         for j, b in enumerate(spec.bottom):
-            factor = rising(lift(b), k)
+            factor = _rising(b, k)
             if not factor:
                 raise ZeroDenominatorPochhammer(k, j)
-            den = den * factor
-        total = total + num / den * z**k
+            den *= factor
+        total += num / den * spec.argument**k
     return total
 
 
@@ -178,8 +155,8 @@ def vanhamme_lhs(p: int) -> Fraction:
 class IdentityOutcome:
     """Both exact sides of an identity check, so failures are diagnosable."""
 
-    lhs: Scalar
-    rhs: Scalar
+    lhs: Fraction
+    rhs: Fraction
     equal: bool
 
 
@@ -208,87 +185,57 @@ def whipple_c1_check(n: int, y) -> IdentityOutcome:
     return IdentityOutcome(lhs, rhs, lhs == rhs)
 
 
-def bailey_b1_check(p: int, corrected: bool = True) -> IdentityOutcome:
-    """Bailey's 4F3(1) transformation specialized at a = 1/2, b = (1 - wp)/2 in Q(omega).
+def bailey_b1_check(p: int) -> IdentityOutcome:
+    """Bailey's 4F3(1) transformation specialized at a = 1/2, b = (1 - wp)/2, w^3 = 1.
 
     lhs = 4F3[1/2, (1-wp)/2, (1-w^2 p)/2, (1-p)/2;
               1 + wp/2, 1 + w^2 p/2, 1 + p/2; 1]      (terminates at (p-1)/2)
     rhs = p (1/2)_m ((1-p)/2)_m / [(1+wp/2)_m (1+w^2 p/2)_m]
           * 4F3[1/2, (1-wp)/2, (1-w^2 p)/2, (1-p)/2; 1, 3/4, 5/4; 1]_m
 
-    ``corrected=False`` swaps the rhs second top parameter for (1-w)/2, the
-    other candidate reading; only the corrected one gives exact equality.
+    The omega parameters come in the conjugate pairs (1-wp)/2, (1-w^2 p)/2
+    and 1+wp/2, 1+w^2 p/2, so both sides are rational.
     """
     if p % 2 == 0 or p < 3:
         raise ValueError("p must be an odd prime")
     m = (p - 1) // 2
-    w = CycloRational.zeta(Root.OMEGA)
-    w2 = w * w
-    one = CycloRational(F(1), F(0), Root.OMEGA)
-
-    b_param = (one - w * p) / 2
-    c_param = (one - w2 * p) / 2
-    lhs_top = (F(1, 2), b_param, c_param, F(1 - p, 2))
-    lhs_bottom = (one + w * p / 2, one + w2 * p / 2, 1 + F(p, 2))
-    lhs = pfq_truncated(SeriesSpec(lhs_top, lhs_bottom, F(1), m))
-
-    prefactor = (
-        p
-        * pochhammer(F(1, 2), m)
-        * pochhammer(F(1 - p, 2), m)
-        / (pochhammer_cyclo(one + w * p / 2, m) * pochhammer_cyclo(one + w2 * p / 2, m))
-    )
-    second_top = b_param if corrected else (one - w) / 2
-    rhs_top = (F(1, 2), second_top, c_param, F(1 - p, 2))
-    rhs_series = pfq_truncated(SeriesSpec(rhs_top, (F(1), F(3, 4), F(5, 4)), F(1), m))
-    rhs = prefactor * rhs_series
+    b_pair = ConjugatePair(F(1, 2), F(-p, 2), TRACE_OMEGA)
+    d_pair = ConjugatePair(F(1), F(p, 2), TRACE_OMEGA)
+    top = (F(1, 2), b_pair, F(1 - p, 2))
+    lhs = pfq_truncated(SeriesSpec(top, (d_pair, 1 + F(p, 2)), F(1), m))
+    prefactor = p * pochhammer(F(1, 2), m) * pochhammer(F(1 - p, 2), m) / d_pair.pochhammer(m)
+    rhs = prefactor * pfq_truncated(SeriesSpec(top, (F(1), F(3, 4), F(5, 4)), F(1), m))
     return IdentityOutcome(lhs, rhs, lhs == rhs)
 
 
 def c3_rhs_closed(p: int) -> Fraction:
-    """The closed form -p (-ip/4)_{(p+1)/4} ((3-(i+1)p)/4)_{(p+1)/4} / ((1-(i+1)p)/4)_{(p+1)/2}.
+    """The closed form -p (-ip/4)_q ((3-(i+1)p)/4)_q / ((1-(i+1)p)/4)_{2q}, q = (p+1)/4.
 
-    Computed in Q(i); the conjugate pairing makes the im-part vanish exactly,
-    so the value is returned as a plain rational.
+    The real parts of the two numerator symbols together run over
+    -(q-1)..q-1 and those of the denominator over the half-integers
+    +-(j - 1/2), so pairing x - ip/4 with -x - ip/4 leaves
+    -(p^3/16) prod_{j<q} (j^2 + p^2/16) / prod_{j<=q} ((j - 1/2)^2 + p^2/16).
     """
     if p % 4 != 3 or p < 7:
         raise ValueError("requires a prime p = 3 (mod 4), p >= 7")
-    i = CycloRational.zeta(Root.I)
-    one = CycloRational(F(1), F(0), Root.I)
     q = (p + 1) // 4
-    num = pochhammer_cyclo(-i * p / 4, q) * pochhammer_cyclo((3 * one - (i + 1) * p) / 4, q)
-    den = pochhammer_cyclo((one - (i + 1) * p) / 4, 2 * q)
-    value = -p * num / den
-    try:
-        return value.as_rational()
-    except ValueError as exc:
-        raise NonRealResult(str(exc)) from None
+    num = ConjugatePair(F(1), F(p, 4), TRACE_I).pochhammer(q - 1)
+    den = ConjugatePair(F(1, 2), F(p, 4), TRACE_I).pochhammer(q)
+    return -F(p**3, 16) * num / den
 
 
 def c3_check(p: int) -> IdentityOutcome:
     """The fourth-root specialization of the Whipple closed form, at n=(p-3)/4, y=-ip/2.
 
-    Both sides live in Q(i) with conjugate-paired parameters and are provably
-    rational; NonRealResult flags an implementation bug, never bad input.
+    lhs = 6F5[5/4, 1/2, (1-p)/2, (1+p)/2, (1-ip)/2, (1+ip)/2;
+              1/4, 1-p/2, 1+p/2, 1-ip/2, 1+ip/2; -1]   (truncated at (p-1)/2)
+    Its i parameters come in conjugate pairs, so lhs is rational.
     """
     if p % 4 != 3 or p < 7:
         raise ValueError("requires a prime p = 3 (mod 4), p >= 7")
-    i = CycloRational.zeta(Root.I)
-    one = CycloRational(F(1), F(0), Root.I)
-    top = (
-        F(5, 4),
-        F(1, 2),
-        F(1 - p, 2),
-        F(1 + p, 2),
-        (one - i * p) / 2,
-        (one + i * p) / 2,
-    )
-    bottom = (F(1, 4), 1 - F(p, 2), 1 + F(p, 2), one - i * p / 2, one + i * p / 2)
-    lhs_c = pfq_truncated(SeriesSpec(top, bottom, F(-1), (p - 1) // 2))
-    try:
-        lhs = lhs_c.as_rational()
-    except ValueError as exc:
-        raise NonRealResult(str(exc)) from None
+    top = (F(5, 4), F(1, 2), F(1 - p, 2), F(1 + p, 2), ConjugatePair(F(1, 2), F(p, 2), TRACE_I))
+    bottom = (F(1, 4), 1 - F(p, 2), 1 + F(p, 2), ConjugatePair(F(1), F(p, 2), TRACE_I))
+    lhs = pfq_truncated(SeriesSpec(top, bottom, F(-1), (p - 1) // 2))
     rhs = c3_rhs_closed(p)
     return IdentityOutcome(lhs, rhs, lhs == rhs)
 

@@ -9,7 +9,7 @@ computed as two O(p^2) self-convolutions.  A direct enumeration over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -32,25 +32,24 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-@dataclass(frozen=True)
-class FiberDistribution:
-    """c(t) = #{x in F_p^*: x + 1/x = t} for each t in F_p."""
+def fiber_counts(p: int) -> tuple[int, ...]:
+    """c(t) = #{x in F_p^*: x + 1/x = t} for t = 0..p-1.
 
-    p: int
-    counts: tuple[int, ...]
-
-
-def fiber_counts(p: int) -> FiberDistribution:
-    """Fiber sizes of t = x + 1/x: each is 1 + legendre(t^2 - 4), which is 1 at t = +-2."""
-    counts = tuple(1 + legendre(t * t - 4, p) for t in range(p))
-    return FiberDistribution(p, counts)
+    Each is 1 + legendre(t^2 - 4), which is 1 at t = +-2.
+    """
+    return tuple(1 + legendre(t * t - 4, p) for t in range(p))
 
 
 def count_N(p: int) -> int:
-    """N(p) via self-convolution: A(s) = sum_{t1+t2=s} c(t1)c(t2), N = sum_s A(s)A(-s)."""
+    """N(p) via self-convolution: A(s) = sum_{t1+t2=s} c(t1)c(t2), N = sum_s A(s)A(-s).
+
+    p must be an odd prime: the fiber sizes use Euler's criterion.
+    """
     if p > _CONV_MAX_P:
         raise TooLarge(f"convolution word-width bound exceeded for p = {p}")
-    c = np.array(fiber_counts(p).counts, dtype=np.int64)
+    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+        raise ValueError(f"N(p) needs an odd prime p, got {p}")
+    c = np.array(fiber_counts(p), dtype=np.int64)
     full = np.convolve(c, c)
     folded = full[:p].copy()
     folded[: len(full) - p] += full[p:]

@@ -21,9 +21,17 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .eta import DEFAULT_LIMIT, a_p
-from .exact import NegativeValuation, ResidueInt, half_harmonic2, pochhammer, reduce_mod, vp
+from .exact import (
+    TRACE_OMEGA,
+    ConjugatePair,
+    NegativeValuation,
+    ResidueInt,
+    half_harmonic2,
+    pochhammer,
+    reduce_mod,
+    vp,
+)
 from .hypergeom import (
-    NonRealResult,
     bailey_b1_check,
     c3_check,
     c3_rhs_closed,
@@ -191,16 +199,14 @@ def check_a3_swisher(p: int) -> CheckOutcome:
 def check_b4(p: int) -> CheckOutcome:
     """(1/2)_m ((1-p)/2)_m / [(1+wp/2)_m (1+w^2p/2)_m] = 1 mod p^3, m = (p-1)/2.
 
-    The conjugate-pair denominator collapses to prod_j (j^2 - (p/2) j + p^2/4),
+    The conjugate-pair denominator is prod_{j<=m} (j^2 - (p/2) j + p^2/4),
     so the whole ratio is evaluated in plain rationals.
     """
     if p < 5:
         return _skip(CheckId.B4, p, "requires p >= 5")
     m = (p - 1) // 2
     num = pochhammer(F(1, 2), m) * pochhammer(F(1 - p, 2), m)
-    den = F(1)
-    for j in range(1, m + 1):
-        den *= F(j * j) - F(p, 2) * j + F(p * p, 4)
+    den = ConjugatePair(F(1), F(p, 2), TRACE_OMEGA).pochhammer(m)
     lhs = reduce_mod(num / den, p, 3)
     return _residue_outcome(CheckId.B4, p, lhs, ResidueInt(1, p, 3))
 
@@ -236,7 +242,7 @@ def check_c5(p: int) -> CheckOutcome:
     try:
         lhs = reduce_mod(c3_rhs_closed(p), p, 4)
         rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
-    except (NegativeValuation, NonRealResult) as exc:
+    except NegativeValuation as exc:
         return CheckOutcome(CheckId.C5, p, "fail", note=f"{type(exc).__name__}: {exc}")
     return _residue_outcome(CheckId.C5, p, lhs, rhs)
 
@@ -263,7 +269,7 @@ def check_trace(p: int, eta_limit: int = DEFAULT_LIMIT) -> CheckOutcome:
 
 
 def check_b1_identity(p: int) -> CheckOutcome:
-    """Exact equality of both sides of the specialized Bailey transformation in Q(omega)."""
+    """Exact equality of both sides of the specialized Bailey transformation (both rational)."""
     if p % 2 == 0:
         return _skip(CheckId.B1_IDENTITY, p, "p must be odd")
     return _identity_outcome(CheckId.B1_IDENTITY, p, bailey_b1_check(p))
@@ -275,10 +281,7 @@ def check_c3_identity(p: int) -> CheckOutcome:
         return _skip(CheckId.C3_IDENTITY, p, "p != 3 (mod 4)")
     if p < 7:
         return _skip(CheckId.C3_IDENTITY, p, "requires p >= 7")
-    try:
-        return _identity_outcome(CheckId.C3_IDENTITY, p, c3_check(p))
-    except NonRealResult as exc:
-        return CheckOutcome(CheckId.C3_IDENTITY, p, "fail", note=f"NonRealResult: {exc}")
+    return _identity_outcome(CheckId.C3_IDENTITY, p, c3_check(p))
 
 
 def check_c1_identity(n: int, y) -> CheckOutcome:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from supercong import cli
-from supercong.verifier import Report
+from supercong.verifier import DEFAULT_CHECKS, Report
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +39,9 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "3")
         assert code == 1
 
+    def test_default_checks(self):
+        assert cli.build_parser().parse_args(["verify"]).checks == DEFAULT_CHECKS
+
     def test_bad_check_name_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["verify", "--checks", "nope"])
@@ -67,10 +70,23 @@ class TestOtherCommands:
         assert code == 0
         assert "18 (mod 5^2)" in out
 
+    @pytest.mark.parametrize("p", ["2", "9"])
+    def test_count_rejects_non_odd_prime(self, capsys, p):
+        code, out, err = run_cli(capsys, "count", "--p", p)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_gammap_non_integral_x_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "gammap", "--p", "5", "--k", "2", "--x", "1/5")
+        assert code == 2 and out == ""
+        assert err == "error: --x 1/5 is not 5-integral\n"
+
     def test_identity_b1(self, capsys):
         code, out, _ = run_cli(capsys, "identity", "--which", "b1", "--p", "7")
         assert code == 0
-        assert "equal = True" in out
+        assert out.splitlines() == [
+            "lhs   = 6249392/8873007", "rhs   = 6249392/8873007", "equal = True"
+        ]
 
     def test_identity_c1_missing_args(self, capsys):
         code, _, err = run_cli(capsys, "identity", "--which", "c1")

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qzeta import QZeta, rising, zeta
 from supercong.exact import (
-    CycloRational,
+    TRACE_I,
+    TRACE_OMEGA,
+    ConjugatePair,
     NegativeValuation,
     ResidueInt,
-    Root,
-    collapsed_poch3,
-    collapsed_poch4,
     congruent,
     half_harmonic2,
     pochhammer,
-    pochhammer_cyclo,
     reduce_mod,
     vp,
 )
@@ -82,32 +81,32 @@ class TestResidueInt:
 
 
 class TestCycloRational:
+    """The Q(zeta) test oracle itself."""
+
     def test_omega_relations(self):
-        w = CycloRational.zeta(Root.OMEGA)
-        assert w * w == CycloRational(F(-1), F(-1), Root.OMEGA)  # w^2 = -1 - w
-        assert w**3 == CycloRational(F(1), F(0), Root.OMEGA)
-        assert w * w + w + 1 == CycloRational(F(0), F(0), Root.OMEGA)
+        w = zeta(TRACE_OMEGA)
+        assert w * w == QZeta(F(-1), F(-1), TRACE_OMEGA)  # w^2 = -1 - w
+        assert w**3 == QZeta(F(1), F(0), TRACE_OMEGA)
+        assert w * w + w + 1 == QZeta(F(0), F(0), TRACE_OMEGA)
 
     def test_i_relations(self):
-        i = CycloRational.zeta(Root.I)
-        assert i * i == CycloRational(F(-1), F(0), Root.I)
+        i = zeta(TRACE_I)
+        assert i * i == QZeta(F(-1), F(0), TRACE_I)
         assert (1 / i) == -i
 
     def test_norm_is_rational(self):
-        for root in Root:
-            x = CycloRational(F(3, 2), F(-5, 7), root)
+        for trace in (TRACE_I, TRACE_OMEGA):
+            x = QZeta(F(3, 2), F(-5, 7), trace)
             prod = x * x.conj()
             assert prod.im == 0
             assert prod.re == x.norm()
 
     def test_tags_never_mix(self):
-        w = CycloRational.zeta(Root.OMEGA)
-        i = CycloRational.zeta(Root.I)
         with pytest.raises(ValueError):
-            w + i
+            zeta(TRACE_OMEGA) + zeta(TRACE_I)
 
     def test_as_rational(self):
-        w = CycloRational.zeta(Root.OMEGA)
+        w = zeta(TRACE_OMEGA)
         assert (w + w.conj()).as_rational() == -1  # w + w^2 = -1
         with pytest.raises(ValueError):
             w.as_rational()
@@ -120,13 +119,21 @@ class TestPochhammer:
         assert pochhammer(-2, 2) == 2  # ((1-p)/2)_{(p-1)/2} at p = 5
 
     def test_cyclo_examples(self):
-        w = CycloRational.zeta(Root.OMEGA)
-        x = 1 + w * F(3, 2)
-        assert pochhammer_cyclo(x, 1) == x
-        assert pochhammer_cyclo(x, 0) == CycloRational(F(1), F(0), Root.OMEGA)
         # (1 + (5/2)w)(1 + (5/2)w^2) = 1 + (5/2)(w + w^2) + (25/4) w^3 = 19/4
-        prod = pochhammer_cyclo(1 + w * F(5, 2), 1) * pochhammer_cyclo(1 + w * w * F(5, 2), 1)
-        assert prod.as_rational() == F(19, 4)
+        assert ConjugatePair(1, F(5, 2), TRACE_OMEGA).pochhammer(1) == F(19, 4)
+        assert ConjugatePair(F(7, 3), F(5, 2), TRACE_I).pochhammer(0) == 1
+        # (1 + 2i)(1 - 2i) (2 + 2i)(2 - 2i) = 5 * 8
+        assert ConjugatePair(1, 2, TRACE_I).pochhammer(2) == 40
+        with pytest.raises(ValueError):
+            ConjugatePair(1, 2, TRACE_I).pochhammer(-1)
+
+    @given(small_fractions, small_fractions, st.sampled_from([TRACE_I, TRACE_OMEGA]),
+           st.integers(0, 8))
+    @settings(max_examples=80)
+    def test_pair_matches_qzeta_oracle(self, u, y, trace, k):
+        z = zeta(trace)
+        oracle = rising(u + y * z, k) * rising(u + y * z.conj(), k)
+        assert oracle.as_rational() == ConjugatePair(u, y, trace).pochhammer(k)
 
     @given(small_fractions, st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=60)
@@ -134,45 +141,47 @@ class TestPochhammer:
         assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
 
 
+def cubic_collapse(u, v, p, k):
+    """(u+vp)_k (u+vp*w)_k (u+vp*w^2)_k over the cube roots of unity."""
+    return pochhammer(u + v * p, k) * ConjugatePair(u, v * p, TRACE_OMEGA).pochhammer(k)
+
+
+def quartic_collapse(u, v, p, k):
+    """(u+vp)_k (u-vp)_k (u+vp*i)_k (u-vp*i)_k over the fourth roots of unity."""
+    return (
+        pochhammer(u + v * p, k)
+        * pochhammer(u - v * p, k)
+        * ConjugatePair(u, v * p, TRACE_I).pochhammer(k)
+    )
+
+
 class TestCollapsedProducts:
+    """Full conjugate orbits collapse to prod_j ((u+j)^3 + (vp)^3) and prod_j ((u+j)^4 - (vp)^4)."""
+
     def test_examples(self):
-        assert collapsed_poch3(1, F(1, 2), 3, 1) == F(35, 8)
-        assert collapsed_poch3(F(2, 7), F(1, 3), 11, 0) == 1
-        assert collapsed_poch4(1, F(1, 2), 3, 1) == F(-65, 16)
-        assert collapsed_poch4(F(2, 7), F(1, 3), 11, 0) == 1
+        assert cubic_collapse(1, F(1, 2), 3, 1) == F(35, 8)
+        assert cubic_collapse(F(2, 7), F(1, 3), 11, 0) == 1
+        assert quartic_collapse(1, F(1, 2), 3, 1) == F(-65, 16)
+        assert quartic_collapse(F(2, 7), F(1, 3), 11, 0) == 1
 
     @given(small_fractions, small_fractions, small_primes, st.integers(0, 5))
     @settings(max_examples=60)
     def test_conjugate_collapse_omega(self, u, v, p, k):
-        w = CycloRational.zeta(Root.OMEGA)
-        w2 = w * w
-        triple = (
-            pochhammer_cyclo(u + v * p * w, k)
-            * pochhammer_cyclo(u + v * p * w2, k)
-            * pochhammer(u + v * p, k)
-        )
-        assert triple.im == 0
-        assert triple.re == collapsed_poch3(u, v, p, k)
+        cubes = math.prod(((u + j) ** 3 + (v * p) ** 3 for j in range(k)), start=F(1))
+        assert cubic_collapse(u, v, p, k) == cubes
 
     @given(small_fractions, small_fractions, small_primes, st.integers(0, 5))
     @settings(max_examples=60)
     def test_conjugate_collapse_i(self, u, v, p, k):
-        i = CycloRational.zeta(Root.I)
-        quad = (
-            pochhammer(u + v * p, k)
-            * pochhammer(u - v * p, k)
-            * pochhammer_cyclo(u + v * p * i, k)
-            * pochhammer_cyclo(u - v * p * i, k)
-        )
-        assert quad.im == 0
-        assert quad.re == collapsed_poch4(u, v, p, k)
+        fourths = math.prod(((u + j) ** 4 - (v * p) ** 4 for j in range(k)), start=F(1))
+        assert quartic_collapse(u, v, p, k) == fourths
 
     def test_congruence_to_plain_powers(self):
-        # both sides evaluated directly: the cubic collapse mod p^3, quartic mod p^4
-        assert reduce_mod(collapsed_poch3(F(1, 2), F(1, 2), 5, 2), 5, 3) == reduce_mod(
+        # the cubic collapse mod p^3, the quartic mod p^4
+        assert reduce_mod(cubic_collapse(F(1, 2), F(1, 2), 5, 2), 5, 3) == reduce_mod(
             pochhammer(F(1, 2), 2) ** 3, 5, 3
         )
-        assert reduce_mod(collapsed_poch4(F(1, 2), F(1, 2), 5, 2), 5, 4) == reduce_mod(
+        assert reduce_mod(quartic_collapse(F(1, 2), F(1, 2), 5, 2), 5, 4) == reduce_mod(
             pochhammer(F(1, 2), 2) ** 4, 5, 4
         )
 
@@ -181,10 +190,10 @@ class TestCollapsedProducts:
     def test_congruence_collapse_random(self, u, v, p, k):
         assume(u.denominator % p != 0 and v.denominator % p != 0)
         assume(vp(pochhammer(u, k), p) == 0)
-        assert reduce_mod(collapsed_poch3(u, v, p, k), p, 3) == reduce_mod(
+        assert reduce_mod(cubic_collapse(u, v, p, k), p, 3) == reduce_mod(
             pochhammer(u, k) ** 3, p, 3
         )
-        assert reduce_mod(collapsed_poch4(u, v, p, k), p, 4) == reduce_mod(
+        assert reduce_mod(quartic_collapse(u, v, p, k), p, 4) == reduce_mod(
             pochhammer(u, k) ** 4, p, 4
         )
 

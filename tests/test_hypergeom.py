@@ -4,15 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import qzeta
 from supercong.eta import a_p
-from supercong.exact import (
-    CycloRational,
-    Root,
-    pochhammer,
-    pochhammer_cyclo,
-    reduce_mod,
-    vp,
-)
+from supercong.exact import TRACE_I, TRACE_OMEGA, ConjugatePair, pochhammer, reduce_mod, vp
 from supercong.hypergeom import (
     PoleParameter,
     SeriesSpec,
@@ -28,6 +22,7 @@ from supercong.hypergeom import (
     vanhamme_lhs,
     whipple_c1_check,
 )
+from supercong.verifier import primes_between
 
 
 class TestPfqTruncated:
@@ -49,12 +44,12 @@ class TestPfqTruncated:
             pfq_truncated(spec)
         assert info.value.term_index == 3  # (-2)+2 = 0 poisons terms k >= 3
         assert info.value.param_index == 0
-
-    def test_mixed_tags_rejected(self):
-        w = CycloRational.zeta(Root.OMEGA)
-        i = CycloRational.zeta(Root.I)
-        with pytest.raises(ValueError):
-            SeriesSpec((w, i), (F(1),), F(1), 2)
+        # the pair -1 +- 0*i vanishes at offset 1; it is bottom parameter #1
+        spec = SeriesSpec((F(1, 2),), (F(3), ConjugatePair(-1, 0, TRACE_I)), F(1), 4)
+        for evaluate in (pfq_truncated, pfq_truncated_reference):
+            with pytest.raises(ZeroDenominatorPochhammer) as info:
+                evaluate(spec)
+            assert (info.value.term_index, info.value.param_index) == (2, 1)
 
     def test_recurrence_matches_reference_rational(self):
         rng = random.Random(3)
@@ -65,11 +60,22 @@ class TestPfqTruncated:
             assert pfq_truncated(spec) == pfq_truncated_reference(spec)
 
     def test_recurrence_matches_reference_cyclo(self):
-        w = CycloRational.zeta(Root.OMEGA)
-        spec = SeriesSpec(
-            (F(1, 2), 1 + w * F(3, 2)), (1 - w * F(5, 4), F(2)), F(-1), 6
-        )
-        assert pfq_truncated(spec) == pfq_truncated_reference(spec)
+        # each pair against its two parameters 1 +- (3/2)zeta, 1 -+ (5/4)zeta in Q(zeta)
+        for trace in (TRACE_I, TRACE_OMEGA):
+            z = qzeta.zeta(trace)
+            spec = SeriesSpec(
+                (F(1, 2), ConjugatePair(1, F(3, 2), trace)),
+                (ConjugatePair(1, F(-5, 4), trace), F(2)),
+                F(-1),
+                6,
+            )
+            oracle = qzeta.pfq(
+                (F(1, 2), 1 + z * F(3, 2), 1 + z.conj() * F(3, 2)),
+                (1 - z * F(5, 4), 1 - z.conj() * F(5, 4), F(2)),
+                -1,
+                6,
+            )
+            assert pfq_truncated(spec) == pfq_truncated_reference(spec) == oracle.as_rational()
 
     def test_truncation_is_incremental(self):
         top = (F(1, 2),) * 4
@@ -154,13 +160,19 @@ class TestBaileyB1:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_printed_reading_fails(self, p):
         # the open-question comparison: the (1-w)/2 reading never balances
-        outcome = bailey_b1_check(p, corrected=False)
-        assert not outcome.equal
+        lhs, rhs = qzeta.b1_sides(p, printed=True)
+        assert lhs != rhs
 
     def test_difference_is_exactly_zero(self):
         outcome = bailey_b1_check(7)
-        diff = outcome.lhs - outcome.rhs
-        assert diff.re == 0 and diff.im == 0
+        assert isinstance(outcome.lhs, F) and isinstance(outcome.rhs, F)
+        assert outcome.lhs - outcome.rhs == 0
+
+    @pytest.mark.parametrize("p", primes_between(3, 50))
+    def test_sides_match_qzeta_oracle(self, p):
+        lhs, rhs = qzeta.b1_sides(p)
+        outcome = bailey_b1_check(p)
+        assert (outcome.lhs, outcome.rhs) == (lhs.as_rational(), rhs.as_rational())
 
 
 class TestC3:
@@ -168,25 +180,30 @@ class TestC3:
     def test_identity_holds(self, p):
         outcome = c3_check(p)
         assert outcome.equal
-        assert isinstance(outcome.lhs, F)  # im-parts vanished exactly
+        assert isinstance(outcome.lhs, F)
 
     @pytest.mark.parametrize("p", [7, 11, 19, 23, 31])
     def test_closed_form_factorizations(self, p):
         # the two conjugate-collapse product forms of numerator and denominator
-        i = CycloRational.zeta(Root.I)
-        one = CycloRational(F(1), F(0), Root.I)
+        i = qzeta.zeta(TRACE_I)
         q = (p + 1) // 4
-        num = pochhammer_cyclo(-i * p / 4, q) * pochhammer_cyclo((3 * one - (i + 1) * p) / 4, q)
+        num = qzeta.rising(-i * p / 4, q) * qzeta.rising((3 - (i + 1) * p) / 4, q)
         num_collapsed = -F(p * p, 16) * math.prod(
             (-F(p * p, 16) - j * j for j in range(1, (p - 3) // 4 + 1)), start=F(1)
         )
         assert num.as_rational() == num_collapsed
-        den = pochhammer_cyclo((one - (i + 1) * p) / 4, 2 * q)
+        den = qzeta.rising((1 - (i + 1) * p) / 4, 2 * q)
         den_collapsed = math.prod(
             (-F(p * p, 16) - (F(2 * j - 1, 2)) ** 2 for j in range(1, q + 1)), start=F(1)
         )
         assert den.as_rational() == den_collapsed
         assert c3_rhs_closed(p) == -p * num_collapsed / den_collapsed
+
+    @pytest.mark.parametrize("p", [p for p in primes_between(7, 50) if p % 4 == 3])
+    def test_sides_match_qzeta_oracle(self, p):
+        lhs, rhs = qzeta.c3_sides(p)
+        outcome = c3_check(p)
+        assert (outcome.lhs, outcome.rhs) == (lhs.as_rational(), rhs.as_rational())
 
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):

@@ -30,20 +30,20 @@ class TestLegendre:
 
 class TestFiberCounts:
     def test_p3_by_enumeration(self):
-        assert fiber_counts(3).counts == (0, 1, 1)
+        assert fiber_counts(3) == (0, 1, 1)
 
     @pytest.mark.parametrize("p", SMALL_PRIMES + [17, 19, 101])
     def test_against_direct_fibering(self, p):
         fibers = [0] * p
         for x in range(1, p):
             fibers[(x + pow(x, -1, p)) % p] += 1
-        assert fiber_counts(p).counts == tuple(fibers)
+        assert fiber_counts(p) == tuple(fibers)
 
     def test_invariants_up_to_500(self):
         from supercong.verifier import primes_between
 
         for p in primes_between(3, 500):
-            counts = fiber_counts(p).counts
+            counts = fiber_counts(p)
             assert sum(counts) == p - 1
             assert all(counts[t] == counts[(p - t) % p] for t in range(p))
             assert all(c in (0, 1, 2) for c in counts)
@@ -58,6 +58,11 @@ class TestCountN:
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_matches_brute_force(self, p):
         assert count_N(p) == brute_force_N(p)
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15, 25, 49, 121, 10001])
+    def test_rejects_non_odd_prime(self, p):
+        with pytest.raises(ValueError):
+            count_N(p)
 
     def test_brute_force_capped(self):
         with pytest.raises(TooLarge):
