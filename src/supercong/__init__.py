@@ -31,7 +31,7 @@ from .hypergeom import (
     vanhamme_lhs,
     whipple_c1_check,
 )
-from .padic_gamma import GammaEvaluator, gamma_p, gamma_p_int, sp
+from .padic_gamma import gamma_p, gamma_p_int, sp
 from .variety import (
     TooLarge,
     brute_force_N,

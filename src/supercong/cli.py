@@ -12,8 +12,10 @@ import sys
 from fractions import Fraction
 
 from .eta import DEFAULT_LIMIT, f_coefficients
+from .exact import NegativeValuation
 from .hypergeom import (
     SeriesSpec,
+    ZeroDenominatorPochhammer,
     bailey_b1_check,
     c3_check,
     pfq_truncated,
@@ -143,9 +145,10 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_gammap(args) -> int:
-    if args.x.denominator % args.p == 0:
-        raise ConfigError(f"--x {args.x} is not {args.p}-integral")
-    value = gamma_p(args.x, args.p, args.k)
+    try:
+        value = gamma_p(args.x, args.p, args.k)
+    except NegativeValuation:
+        raise ConfigError(f"--x {args.x} is not {args.p}-integral") from None
     sys.stdout.write(f"Gamma_{args.p}({args.x}) = {value}\n")
     return 0
 
@@ -166,7 +169,11 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_hyper(args) -> int:
-    value = pfq_truncated(SeriesSpec(tuple(args.top), tuple(args.bottom), args.z, args.terms))
+    spec = SeriesSpec(tuple(args.top), tuple(args.bottom), args.z, args.terms)
+    try:
+        value = pfq_truncated(spec)
+    except ZeroDenominatorPochhammer as exc:
+        raise ConfigError(str(exc)) from None
     sys.stdout.write(f"{value}\n")
     return 0
 

@@ -46,6 +46,15 @@ def vp(x: RationalLike, p: int) -> Union[int, float]:
     return v
 
 
+def is_prime(n: int) -> bool:
+    """Whether the int n is prime, by trial division."""
+    if not isinstance(n, int) or n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
 def reduce_mod(x: RationalLike, p: int, k: int) -> "ResidueInt":
     """Reduce a p-integral rational into Z/p^k as num * den**-1.
 

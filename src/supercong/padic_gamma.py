@@ -7,25 +7,30 @@ function is 1-Lipschitz in the p-adic metric, so the lift changes nothing
 below precision p^k.  This is validated empirically by the Pochhammer-bridge
 tests rather than assumed silently.
 
-Cost is O(p^k) multiplications mod p^k per fresh evaluation.  When p^k fits a
-machine word with headroom for products the sweep is vectorized; otherwise a
-pure-Python exact loop is used.  A GammaEvaluator amortizes repeated
-evaluations at one (p, k) through a table of prefix products.
+The product is never formed term by term.  Write m = Q*p + r with 0 <= r < p;
+the factors prime to p fall into Q full blocks and a tail:
+
+    prod_{0<j<m, p not | j} j = prod_{i<Q} H(i) * prod_{0<s<r} (Q*p + s),
+    H(y) = prod_{s=1}^{p-1} (p*y + s).
+
+Why cutting is exact: the y^d coefficient of H is divisible by p^d.  That
+property survives products and integer Taylor shifts f(y) -> f(y + a), whose
+y^d coefficient gathers f_e * C(e, d) * a^(e-d) over e >= d.  Among such
+polynomials every term of degree >= k has a coefficient divisible by p^k, so
+it vanishes at any integer y mod p^k, and it stays a multiple of p^k through
+later products and shifts.  Every polynomial can therefore be cut to degree
+< k and reduced mod p^k.  With G_n(y) = prod_{i<n} H(y + i), the rule
+G_{a+b}(y) = G_a(y) * G_b(y + a) doubles n, or adds one block, in one shift
+and one cut product; walking the bits of Q yields G_Q(0) = prod_{i<Q} H(i).
+
+Cost: O(p*k) to build H, O(k^2) per bit of Q < p^(k-1), so O(k^3 log p) for
+the blocks, and O(p) for the tail -- all exact integer arithmetic mod p^k.
+The definitional product survives only as the test oracle.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
-
-from .exact import RationalLike, ResidueInt, reduce_mod
-
-# uint64 products stay exact below 2^64; cap the modulus well under 2^32.
-_VECTOR_MOD_LIMIT = 1 << 31
-_VECTOR_MIN_SPAN = 1 << 12
-_CHUNK = 1 << 18
+from .exact import RationalLike, ResidueInt, is_prime, reduce_mod
 
 
 def sp(x: RationalLike, p: int) -> int:
@@ -34,111 +39,87 @@ def sp(x: RationalLike, p: int) -> int:
     return r if r != 0 else p
 
 
-def _chunk_prod_mod(block: np.ndarray, modulus: int) -> int:
-    """Product of a uint64 block mod modulus via pairwise folding (all ops stay < 2^64)."""
-    while block.size > 1:
-        if block.size & 1:
-            odd = int(block[-1])
-            block = block[:-1]
-        else:
-            odd = None
-        block = block[0::2] * block[1::2] % modulus
-        if odd is not None:
-            block[-1] = int(block[-1]) * odd % modulus
-    return int(block[0])
+def _check_modulus(p: int, k: int) -> None:
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"Gamma_p needs a precision exponent k >= 1, got {k!r}")
+    if not is_prime(p):
+        raise ValueError(f"Gamma_p needs a prime p, got {p!r}")
 
 
-def _range_prod_mod(start: int, stop: int, p: int, modulus: int) -> int:
-    """prod of j in [start, stop) with p not dividing j, reduced mod modulus."""
-    if stop <= start:
-        return 1 % modulus
-    if modulus >= _VECTOR_MOD_LIMIT or stop - start < _VECTOR_MIN_SPAN:
-        acc = 1
-        for j in range(start, stop):
-            if j % p:
-                acc = acc * j % modulus
-        return acc
-    acc = 1
-    for lo in range(start, stop, _CHUNK):
-        block = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.uint64)
-        block = block[block % p != 0]
-        if block.size:
-            acc = acc * _chunk_prod_mod(block, modulus) % modulus
-    return acc
+def _cut_product(f: list[int], g: list[int], modulus: int) -> list[int]:
+    """f * g cut to the length of f, coefficients reduced mod modulus."""
+    k = len(f)
+    out = [0] * k
+    for a, fa in enumerate(f):
+        if fa:
+            for b in range(k - a):
+                out[a + b] += fa * g[b]
+    return [c % modulus for c in out]
 
 
-@lru_cache(maxsize=4096)
+def _shift(f: list[int], a: int, modulus: int) -> list[int]:
+    """Coefficients of f(y + a), by repeated synthetic division."""
+    c = list(f)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return [x % modulus for x in c]
+
+
+def _block_polynomial(p: int, k: int, modulus: int) -> list[int]:
+    """H(y) = prod_{s=1}^{p-1} (p*y + s) cut to degree < k, mod p^k."""
+    h = [1] + [0] * (k - 1)
+    for s in range(1, p):
+        for d in range(k - 1, 0, -1):
+            h[d] = (s * h[d] + p * h[d - 1]) % modulus
+        h[0] = h[0] * s % modulus
+    return h
+
+
+def _blocks_product(q: int, p: int, k: int, modulus: int) -> int:
+    """prod_{i<q} H(i) mod p^k, by binary splitting over the bits of q."""
+    if q == 0:
+        return 1
+    h = _block_polynomial(p, k, modulus)
+    g, n = h, 1  # g = G_n
+    for bit in bin(q)[3:]:
+        g = _cut_product(g, _shift(g, n, modulus), modulus)
+        n *= 2
+        if bit == "1":
+            g = _cut_product(g, _shift(h, n, modulus), modulus)
+            n += 1
+    return g[0]
+
+
 def _gamma_int_value(m: int, p: int, k: int) -> int:
     modulus = p**k
-    sign = -1 if m % 2 else 1
-    return sign * _range_prod_mod(1, m, p, modulus) % modulus
+    q, r = divmod(m, p)
+    acc = _blocks_product(q, p, k, modulus)
+    base = q * p
+    for s in range(1, r):
+        acc = acc * (base + s) % modulus
+    return -acc % modulus if m % 2 else acc
 
 
 def gamma_p_int(m: int, p: int, k: int) -> ResidueInt:
     """The definitional product (-1)^m prod_{0<j<m, (j,p)=1} j reduced mod p^k.
 
     gamma_p_int(0, ...) is 1 (empty product, positive sign) and
-    gamma_p_int(1, ...) is -1.
+    gamma_p_int(1, ...) is -1.  Raises ValueError unless p is prime and k is
+    an int >= 1.
     """
+    _check_modulus(p, k)
     if m < 0:
         raise ValueError("argument must be a nonnegative integer")
     return ResidueInt(_gamma_int_value(m, p, k), p, k)
 
 
 def gamma_p(x: RationalLike, p: int, k: int) -> ResidueInt:
-    """Gamma_p(x) mod p^k for p-integral rational x, via the integer lift of x mod p^k."""
-    m = reduce_mod(x, p, k).value
-    return gamma_p_int(m, p, k)
+    """Gamma_p(x) mod p^k for p-integral rational x, via the integer lift of x mod p^k.
 
-
-class GammaEvaluator:
-    """Shared-cost evaluator for Gamma_p values at one (p, k).
-
-    Keeps a table of prefix products prod_{0<j<m, p not | j} j mod p^k at
-    evenly spaced checkpoints, built in a single sweep on first use, so that
-    evaluating many arguments costs one full pass plus short tail products.
-    Results are identical with or without the cache.  Not synchronized: confine
-    an instance to a single worker.
+    Raises ValueError unless p is prime and k is an int >= 1, and
+    NegativeValuation when x is not p-integral.
     """
-
-    def __init__(self, p: int, k: int, cache: bool = True, checkpoints: int = 512):
-        self.p = p
-        self.k = k
-        self.modulus = p**k
-        self._cache_enabled = cache
-        self._stride = max(1, self.modulus // checkpoints)
-        self._prefix: list[int] | None = None
-
-    def _build_prefix(self) -> list[int]:
-        prefix = [1]
-        acc = 1
-        lo = 1
-        while lo < self.modulus:
-            hi = min(lo + self._stride, self.modulus)
-            acc = acc * _range_prod_mod(lo, hi, self.p, self.modulus) % self.modulus
-            prefix.append(acc)
-            lo = hi
-        return prefix
-
-    def _product_below(self, m: int) -> int:
-        if m <= 1:
-            return 1 % self.modulus
-        if not self._cache_enabled:
-            return _range_prod_mod(1, m, self.p, self.modulus)
-        if self._prefix is None:
-            self._prefix = self._build_prefix()
-        i = min((m - 1) // self._stride, len(self._prefix) - 1)
-        covered = min(1 + i * self._stride, self.modulus)  # prefix[i] is the product over [1, covered)
-        base = self._prefix[i]
-        return base * _range_prod_mod(covered, m, self.p, self.modulus) % self.modulus
-
-    def at_int(self, m: int) -> ResidueInt:
-        """Gamma_p at a nonnegative integer argument."""
-        if m < 0:
-            raise ValueError("argument must be a nonnegative integer")
-        sign = -1 if m % 2 else 1
-        return ResidueInt(sign * self._product_below(m), self.p, self.k)
-
-    def at(self, x: RationalLike) -> ResidueInt:
-        """Gamma_p at a p-integral rational argument."""
-        return self.at_int(reduce_mod(Fraction(x), self.p, self.k).value)
+    _check_modulus(p, k)
+    m = reduce_mod(x, p, k).value
+    return ResidueInt(_gamma_int_value(m, p, k), p, k)

@@ -9,9 +9,9 @@ computed as two O(p^2) self-convolutions.  A direct enumeration over
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .exact import is_prime
 
 BRUTE_FORCE_MAX = 13
 
@@ -47,7 +47,7 @@ def count_N(p: int) -> int:
     """
     if p > _CONV_MAX_P:
         raise TooLarge(f"convolution word-width bound exceeded for p = {p}")
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+    if p == 2 or not is_prime(p):
         raise ValueError(f"N(p) needs an odd prime p, got {p}")
     c = np.array(fiber_counts(p), dtype=np.int64)
     full = np.convolve(c, c)

@@ -196,3 +196,14 @@ def test_criterion_12_determinism():
         blobs.append(emit_report(suite, include_timing=False))
     assert blobs[0] == blobs[1] == blobs[2]
     report(12, "run_suite(3, 100, all checks) emits byte-identical JSON at 1, 4, 8 workers")
+
+
+def test_criterion_13_a4_c5_to_1000():
+    start = time.perf_counter()
+    primes = [p for p in primes_between(7, 1000) if p % 4 == 3]
+    failures = [p for p in primes
+                if check_a4(p).status != "pass" or check_c5(p).status != "pass"]
+    elapsed = time.perf_counter() - start
+    assert failures == []
+    report(13, f"a4 and c5 hold mod p^4 for all {len(primes)} primes = 3 mod 4 in 7..1000 "
+               f"({elapsed:.1f}s single-threaded)")

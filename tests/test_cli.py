@@ -81,6 +81,12 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err == "error: --x 1/5 is not 5-integral\n"
 
+    @pytest.mark.parametrize("p, k", [("6", "2"), ("7", "-1")])
+    def test_gammap_bad_modulus_is_usage_error(self, capsys, p, k):
+        code, out, err = run_cli(capsys, "gammap", "--p", p, "--k", k, "--x", "1/5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_identity_b1(self, capsys):
         code, out, _ = run_cli(capsys, "identity", "--which", "b1", "--p", "7")
         assert code == 0
@@ -105,3 +111,10 @@ class TestOtherCommands:
         )
         assert code == 0
         assert out.strip() == "17/16"
+
+    def test_hyper_vanishing_bottom_pochhammer_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "hyper", "--top", "1", "--bottom", "-1", "--z", "1", "--terms", "3"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -14,10 +14,12 @@ from supercong.exact import (
     ResidueInt,
     congruent,
     half_harmonic2,
+    is_prime,
     pochhammer,
     reduce_mod,
     vp,
 )
+from supercong.verifier import primes_between
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=9)
 small_primes = st.sampled_from([3, 5, 7, 11, 13])
@@ -25,6 +27,14 @@ small_primes = st.sampled_from([3, 5, 7, 11, 13])
 
 def brute_inverse(a, m):
     return next(x for x in range(m) if a * x % m == 1)
+
+
+class TestIsPrime:
+    def test_matches_sieve(self):
+        assert [n for n in range(-3, 500) if is_prime(n)] == primes_between(0, 499)
+
+    def test_rejects_non_int(self):
+        assert not is_prime(7.0)
 
 
 class TestVp:

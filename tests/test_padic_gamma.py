@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercong.exact import NegativeValuation, pochhammer, reduce_mod, vp
-from supercong.padic_gamma import GammaEvaluator, _range_prod_mod, gamma_p, gamma_p_int, sp
+from supercong.padic_gamma import gamma_p, gamma_p_int, sp
 
 
 def definitional_product(m, p, modulus):
@@ -97,25 +99,52 @@ class TestProperties:
             done += 1
 
 
-class TestEvaluator:
-    def test_cached_matches_uncached_bit_for_bit(self):
-        cached = GammaEvaluator(7, 3)
-        plain = GammaEvaluator(7, 3, cache=False)
-        points = [0, 1, 2, 3, 17, 100, 342, 343 - 1, 200, 341]
-        for m in points:
-            assert cached.at_int(m) == plain.at_int(m) == gamma_p_int(m, 7, 3)
+class TestAgainstOracle:
+    @pytest.mark.parametrize("p, k", [(3, 7), (5, 4), (7, 3), (13, 2)])
+    def test_every_argument_below_the_modulus(self, p, k):
+        modulus = p**k
+        values = [gamma_p_int(m, p, k).value for m in range(modulus)]
+        assert values == [definitional_product(m, p, modulus) for m in range(modulus)]
 
-    def test_rational_arguments(self):
-        ev = GammaEvaluator(11, 3)
-        for x in (F(1, 4), F(3, 4), F(1, 2), F(7, 5)):
-            assert ev.at(x) == gamma_p(x, 11, 3)
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_arguments(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+        k = data.draw(st.integers(1, 5).filter(lambda k: p**k <= 10**6))
+        m = data.draw(st.integers(0, p**k - 1))
+        assert gamma_p_int(m, p, k).value == definitional_product(m, p, p**k)
 
-    def test_vector_path_matches_python_loop(self):
-        # span above the vectorization cutoff, crosschecked against a plain loop
-        p, modulus = 7, 7**6
-        lo, hi = 1, 40000
-        acc = 1
-        for j in range(lo, hi):
-            if j % p:
-                acc = acc * j % modulus
-        assert _range_prod_mod(lo, hi, p, modulus) == acc
+
+class TestLargeModulus:
+    """Identities checked where the definitional product is out of reach."""
+
+    @pytest.mark.parametrize("p, k", [(10007, 5), (100003, 6)])
+    def test_reflection(self, p, k):
+        for x in (F(1, 4), F(2, 3)):
+            lhs = gamma_p(x, p, k) * gamma_p(1 - x, p, k)
+            assert lhs == reduce_mod(F((-1) ** sp(x, p)), p, k), x
+
+    @pytest.mark.parametrize("p, k", [(10007, 5), (100003, 6)])
+    def test_functional_equation(self, p, k):
+        # Gamma_p(x + 1) = -x Gamma_p(x), or -Gamma_p(x) when p | x; the
+        # arguments cross a block boundary (m = Qp - 1, Qp) and sit mid-tail
+        q = 3 * p ** (k - 2) + 12345
+        for m in (q * p - 1, q * p, q * p + p // 2, p**k - 2):
+            factor = -m if m % p else -1
+            assert gamma_p_int(m + 1, p, k) == gamma_p_int(m, p, k) * factor, m
+
+
+class TestModulus:
+    @pytest.mark.parametrize("p", [6, 9, 1, 0, -7])
+    def test_rejects_non_prime_p(self, p):
+        with pytest.raises(ValueError, match="prime p"):
+            gamma_p(F(1, 5), p, 2)
+        with pytest.raises(ValueError, match="prime p"):
+            gamma_p_int(3, p, 2)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0])
+    def test_rejects_bad_precision(self, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            gamma_p(F(1, 5), 7, k)
+        with pytest.raises(ValueError, match="k >= 1"):
+            gamma_p_int(3, 7, k)
