@@ -7,6 +7,13 @@ over Q(i) or Q(omega); the product of their two Pochhammer symbols is a
 product of rational quadratics, so a ``ConjugatePair`` stands for both and
 no cyclotomic arithmetic is needed.  Congruence between rationals is
 valuation-based: x = y (mod p^k) means vp(x - y) >= k.
+
+Two paths compute a Pochhammer symbol or the half harmonic sum.  The fast
+path, which the congruence checks use, works in Z/p^k throughout: each factor
+is cleared of its denominator to an integer (``cleared_factor``) and only
+residues are multiplied (``pochhammer_mod``, ``half_harmonic2``).  The exact
+``pochhammer`` over Q serves the identity checks and the tests, where it is
+the oracle for the fast path.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ RationalLike = Union[Fraction, int]
 
 class NegativeValuation(ArithmeticError):
     """Raised when a residue reduction is applied to a value with p in its denominator."""
+
+
+class TooLarge(ValueError):
+    """A computation was requested beyond its cost cap."""
 
 
 def vp(x: RationalLike, p: int) -> Union[int, float]:
@@ -197,8 +208,47 @@ class ConjugatePair:
         return out
 
 
-def half_harmonic2(p: int) -> Fraction:
-    """sum_{j=1}^{(p-1)/2} 1/j^2, exactly.  Divisible by p for p >= 5 (Wolstenholme)."""
+def cleared_factor(param: Union[RationalLike, ConjugatePair]) -> tuple[tuple[int, int, int], int]:
+    """Integers (c0, c1, c2), d with param's Pochhammer factor at offset j = (c0 + c1*j + c2*j^2) / d.
+
+    A rational n/d gives (n, d, 0), d; a ``ConjugatePair`` gives its quadratic
+    times the least common denominator of its coefficients.
+    """
+    if isinstance(param, ConjugatePair):
+        den = math.lcm(param.linear.denominator, param.constant.denominator)
+        return (int(param.constant * den), int(param.linear * den), den), den
+    param = Fraction(param)
+    return (param.numerator, param.denominator, 0), param.denominator
+
+
+def pochhammer_mod(
+    param: Union[RationalLike, ConjugatePair], n: int, p: int, k: int
+) -> ResidueInt:
+    """(param)_n mod p^k, multiplying integer factors; the denominator must be a p-unit."""
+    if n < 0:
+        raise ValueError("pochhammer index must be >= 0")
+    (c0, c1, c2), den = cleared_factor(param)
+    if den % p == 0:
+        raise NegativeValuation(f"{param} has {p} in its denominator, cannot reduce mod {p}^{k}")
+    modulus = p**k
+    out = 1
+    for j in range(n):
+        out = out * (c0 + j * (c1 + j * c2)) % modulus
+    return ResidueInt(out * pow(den, -n, modulus), p, k)
+
+
+def half_harmonic2(p: int, k: int) -> ResidueInt:
+    """sum_{j=1}^{(p-1)/2} 1/j^2 mod p^k.  Divisible by p for p >= 5 (Wolstenholme).
+
+    Every j is a p-unit, so the sum is kept as one fraction num/den of
+    residues and den is inverted once at the end.
+    """
     if p % 2 == 0:
         raise ValueError("p must be odd")
-    return sum((Fraction(1, j * j) for j in range(1, (p - 1) // 2 + 1)), Fraction(0))
+    modulus = p**k
+    num, den = 0, 1
+    for j in range(1, (p - 1) // 2 + 1):
+        square = j * j
+        num = (num * square + den) % modulus
+        den = den * square % modulus
+    return ResidueInt(num * pow(den, -1, modulus), p, k)

@@ -1,15 +1,22 @@
-"""Exact truncated hypergeometric series over Q.
+"""Truncated hypergeometric series: exact over Q, and residues in Z/p^k.
 
-All sums are evaluated term-by-term through the multiplicative recurrence
-t_{k+1} = t_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1); a from-scratch
-evaluator built on Pochhammer symbols is retained as an internal oracle.
-A parameter is a rational or a ``ConjugatePair``, which stands for two
-Galois-conjugate parameters in Q(i) or Q(omega) and contributes their joint
-rational quadratic factor, so every sum stays in Q.  On top of the generic
-evaluator sit the concrete sums and identity instances the verifier checks:
-Kilbourn's 4F3, the Van Hamme 6F5(-1), Whipple's terminating 6F5 with its
-fully rational closed form, Bailey's 4F3 transformation specialized at
-cube-root-of-unity parameters, and the fourth-root specialization of the
+A series runs the multiplicative recurrence
+t_{k+1} = t_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1).  A parameter is
+a rational or a ``ConjugatePair``, which stands for two Galois-conjugate
+parameters in Q(i) or Q(omega) and contributes their joint rational
+quadratic factor, so every sum stays in Q.
+
+There are two evaluators.  ``pfq_truncated`` sums the recurrence exactly in
+``Fraction``s; it serves the exact identities (b1, c1, c3), ``supercong
+hyper`` and the tests, with ``pfq_truncated_reference`` (from Pochhammer
+symbols) as its own oracle.  ``pfq_residue`` is the fast path for the
+congruence checks: it runs the same recurrence over integers, carrying each
+term as p^v times a unit mod p^(k+guard), so no O(p^2)-bit denominator is
+ever formed; ``pfq_truncated`` reduced mod p^k is its test oracle.  On top
+of the evaluators sit the concrete sums and identity instances the verifier
+checks: Kilbourn's 4F3, the Van Hamme 6F5(-1), Whipple's terminating 6F5
+with its fully rational closed form, Bailey's 4F3 transformation specialized
+at cube-root-of-unity parameters, and the fourth-root specialization of the
 Whipple closed form.
 """
 
@@ -19,7 +26,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import TRACE_I, TRACE_OMEGA, ConjugatePair, pochhammer
+from .exact import (
+    TRACE_I,
+    TRACE_OMEGA,
+    ConjugatePair,
+    NegativeValuation,
+    ResidueInt,
+    cleared_factor,
+    pochhammer,
+    pochhammer_mod,
+    reduce_mod,
+)
 
 
 class ZeroDenominatorPochhammer(ArithmeticError):
@@ -32,6 +49,10 @@ class ZeroDenominatorPochhammer(ArithmeticError):
             f"bottom parameter #{param_index} has a vanishing Pochhammer factor "
             f"at term {term_index}"
         )
+
+
+class GuardExceeded(NegativeValuation):
+    """A term of a residue series has p-adic valuation below -guard, beyond its fixed precision."""
 
 
 class PoleParameter(ValueError):
@@ -111,41 +132,147 @@ def pfq_truncated_reference(spec: SeriesSpec) -> Fraction:
     return total
 
 
+def _cleared(params) -> tuple[list[tuple[int, int, int]], int]:
+    """Each parameter's integer factor coefficients (``cleared_factor``) and the product of the d's."""
+    coeffs, den = [], 1
+    for param in params:
+        c, d = cleared_factor(param)
+        coeffs.append(c)
+        den *= d
+    return coeffs, den
+
+
+def _p_split(x: int, p: int) -> tuple[int, int]:
+    """(v, u) with x = p^v * u and p not dividing u, for a nonzero int x."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
+def _factor_product(coeffs, j: int, p: int, modulus: int) -> tuple[int, int, int | None]:
+    """(v, u, None) with the product of the factors at offset j = p^v * u (u mod modulus),
+    or (0, 0, index) when the factor of parameter #index vanishes."""
+    v, u = 0, 1
+    for index, (c0, c1, c2) in enumerate(coeffs):
+        x = c0 + j * (c1 + j * c2)
+        if not x:
+            return 0, 0, index
+        while x % p == 0:  # _p_split, inlined in the hot loop
+            x //= p
+            v += 1
+        u = u * x % modulus
+    return v, u, None
+
+
+def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
+    """p^e * pfq_truncated(spec) mod p^k, computed over integers without forming the rational sum.
+
+    Each rational parameter n/d contributes the integer n + j*d at step j, a
+    ``ConjugatePair`` its quadratic cleared of denominators; the constant
+    denominators and the argument are folded into one scale per step.  Term j
+    is carried as p^v * u: the p-power is stripped from every factor before
+    it enters the unit u, which is kept mod p^(k+g).  The guard g is the
+    number of bottom parameters (a pair counts as two).  The terms are summed
+    over one common denominator, inverted once at the end.
+
+    Raises ZeroDenominatorPochhammer at a vanishing bottom factor and
+    GuardExceeded when a term's valuation drops below -g, whichever comes
+    first, and NegativeValuation when p^e times the sum is not p-integral.
+    """
+    guard = sum(2 if isinstance(b, ConjugatePair) else 1 for b in spec.bottom)
+    modulus = p ** (k + guard)
+    top, top_den = _cleared(spec.top)
+    bottom, bottom_den = _cleared(spec.bottom)
+    scale = spec.argument * bottom_den / top_den
+    vanished = not scale
+    if not vanished:
+        v_num, scale_num = _p_split(scale.numerator, p)
+        v_den, scale_den = _p_split(scale.denominator, p)
+        scale_v = v_num - v_den
+    # term j = p^v * num / den; total / den = p^guard * (sum of the terms so far)
+    v, num, den = 0, 1, 1
+    total = p**guard
+    for j in range(spec.terms):
+        bottom_v, bottom_u, index = _factor_product(bottom, j, p, modulus)
+        if index is not None:
+            raise ZeroDenominatorPochhammer(j + 1, index)
+        if vanished:
+            continue
+        top_v, top_u, index = _factor_product(top, j, p, modulus)
+        if index is not None:
+            vanished = True
+            continue
+        step_v, step_u = _p_split(j + 1, p)
+        v += top_v - bottom_v - step_v + scale_v
+        if v < -guard:
+            raise GuardExceeded(
+                f"term {j + 1} has {p}-adic valuation {v}, below the guard -{guard}"
+            )
+        num = num * top_u * scale_num % modulus
+        step_den = bottom_u * step_u * scale_den % modulus
+        den = den * step_den % modulus
+        total = total * step_den
+        if v < k:
+            total += p ** (v + guard) * num
+        total %= modulus
+    total = total * pow(den, -1, modulus) % modulus
+    shift = e - guard
+    if shift < 0:
+        if total % p**-shift:
+            raise NegativeValuation(
+                f"{p}^{e} times the sum has negative {p}-adic valuation, cannot reduce mod {p}^{k}"
+            )
+        return ResidueInt(total // p**-shift, p, k)
+    return ResidueInt(total * p**shift, p, k)
+
+
 # --- the concrete truncated sums -------------------------------------------
 
 F = Fraction
 
 
-def kilbourn_lhs(p: int) -> Fraction:
-    """4F3[1/2,1/2,1/2,1/2; 1,1,1; 1] truncated at (p-1)/2: congruent to a(p) mod p^3."""
+def kilbourn_spec(p: int) -> SeriesSpec:
+    """4F3[1/2,1/2,1/2,1/2; 1,1,1; 1] truncated at (p-1)/2."""
     if p % 2 == 0:
         raise ValueError("p must be odd")
-    half = (p - 1) // 2
-    return pfq_truncated(SeriesSpec((F(1, 2),) * 4, (F(1),) * 3, F(1), half))
+    return SeriesSpec((F(1, 2),) * 4, (F(1),) * 3, F(1), (p - 1) // 2)
 
 
-def thm1_rhs(p: int) -> Fraction:
-    """p * 4F3[1/2,1/2,1/2,1/2; 1,3/4,5/4; 1] truncated at (p-1)/2, exact in Q.
+def kilbourn_lhs(p: int, k: int) -> ResidueInt:
+    """The Kilbourn sum mod p^k: congruent to a(p) mod p^3."""
+    return pfq_residue(kilbourn_spec(p), p, k)
+
+
+def thm1_spec(p: int) -> SeriesSpec:
+    """4F3[1/2,1/2,1/2,1/2; 1,3/4,5/4; 1] truncated at (p-1)/2.
 
     Individual terms can have valuation -1 through the (5/4)_k bottom factor;
     the p-multiplied full sum is p-integral for p >= 5.
     """
     if p < 5:
         raise ValueError("requires p >= 5")
-    half = (p - 1) // 2
-    return p * pfq_truncated(
-        SeriesSpec((F(1, 2),) * 4, (F(1), F(3, 4), F(5, 4)), F(1), half)
-    )
+    return SeriesSpec((F(1, 2),) * 4, (F(1), F(3, 4), F(5, 4)), F(1), (p - 1) // 2)
 
 
-def vanhamme_lhs(p: int) -> Fraction:
+def thm1_rhs(p: int, k: int) -> ResidueInt:
+    """p times the Theorem 1 sum, mod p^k."""
+    return pfq_residue(thm1_spec(p), p, k, e=1)
+
+
+def vanhamme_spec(p: int) -> SeriesSpec:
     """6F5[5/4,1/2,1/2,1/2,1/2,1/2; 1/4,1,1,1,1; -1] truncated at (p-1)/2."""
     if p % 2 == 0:
         raise ValueError("p must be odd")
-    half = (p - 1) // 2
-    return pfq_truncated(
-        SeriesSpec((F(5, 4),) + (F(1, 2),) * 5, (F(1, 4),) + (F(1),) * 4, F(-1), half)
+    return SeriesSpec(
+        (F(5, 4),) + (F(1, 2),) * 5, (F(1, 4),) + (F(1),) * 4, F(-1), (p - 1) // 2
     )
+
+
+def vanhamme_lhs(p: int, k: int) -> ResidueInt:
+    """The Van Hamme sum mod p^k."""
+    return pfq_residue(vanhamme_spec(p), p, k)
 
 
 # --- identity instances ------------------------------------------------------
@@ -208,20 +335,25 @@ def bailey_b1_check(p: int) -> IdentityOutcome:
     return IdentityOutcome(lhs, rhs, lhs == rhs)
 
 
-def c3_rhs_closed(p: int) -> Fraction:
-    """The closed form -p (-ip/4)_q ((3-(i+1)p)/4)_q / ((1-(i+1)p)/4)_{2q}, q = (p+1)/4.
+def _c3_closed_form(p: int) -> tuple[int, ConjugatePair, ConjugatePair]:
+    """q and the pairs A, B with the closed form = -(p^3/16) (A)_{q-1} / (B)_q.
 
-    The real parts of the two numerator symbols together run over
-    -(q-1)..q-1 and those of the denominator over the half-integers
+    The closed form is -p (-ip/4)_q ((3-(i+1)p)/4)_q / ((1-(i+1)p)/4)_{2q},
+    q = (p+1)/4.  The real parts of the two numerator symbols together run
+    over -(q-1)..q-1 and those of the denominator over the half-integers
     +-(j - 1/2), so pairing x - ip/4 with -x - ip/4 leaves
     -(p^3/16) prod_{j<q} (j^2 + p^2/16) / prod_{j<=q} ((j - 1/2)^2 + p^2/16).
     """
     if p % 4 != 3 or p < 7:
         raise ValueError("requires a prime p = 3 (mod 4), p >= 7")
-    q = (p + 1) // 4
-    num = ConjugatePair(F(1), F(p, 4), TRACE_I).pochhammer(q - 1)
-    den = ConjugatePair(F(1, 2), F(p, 4), TRACE_I).pochhammer(q)
-    return -F(p**3, 16) * num / den
+    return (p + 1) // 4, ConjugatePair(F(1), F(p, 4), TRACE_I), ConjugatePair(F(1, 2), F(p, 4), TRACE_I)
+
+
+def c3_rhs_closed(p: int, k: int) -> ResidueInt:
+    """The closed form mod p^k.  Every factor of both products is a p-unit."""
+    q, num, den = _c3_closed_form(p)
+    ratio = pochhammer_mod(num, q - 1, p, k) * pochhammer_mod(den, q, p, k).inverse()
+    return reduce_mod(F(-(p**3), 16), p, k) * ratio
 
 
 def c3_check(p: int) -> IdentityOutcome:
@@ -229,14 +361,16 @@ def c3_check(p: int) -> IdentityOutcome:
 
     lhs = 6F5[5/4, 1/2, (1-p)/2, (1+p)/2, (1-ip)/2, (1+ip)/2;
               1/4, 1-p/2, 1+p/2, 1-ip/2, 1+ip/2; -1]   (truncated at (p-1)/2)
-    Its i parameters come in conjugate pairs, so lhs is rational.
+    Its i parameters come in conjugate pairs, so lhs is rational; rhs is the
+    closed form of ``c3_rhs_closed``, evaluated exactly.
     """
     if p % 4 != 3 or p < 7:
         raise ValueError("requires a prime p = 3 (mod 4), p >= 7")
     top = (F(5, 4), F(1, 2), F(1 - p, 2), F(1 + p, 2), ConjugatePair(F(1, 2), F(p, 2), TRACE_I))
     bottom = (F(1, 4), 1 - F(p, 2), 1 + F(p, 2), ConjugatePair(F(1), F(p, 2), TRACE_I))
     lhs = pfq_truncated(SeriesSpec(top, bottom, F(-1), (p - 1) // 2))
-    rhs = c3_rhs_closed(p)
+    q, num, den = _c3_closed_form(p)
+    rhs = -F(p**3, 16) * num.pochhammer(q - 1) / den.pochhammer(q)
     return IdentityOutcome(lhs, rhs, lhs == rhs)
 
 

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import is_prime
+from .exact import TooLarge, is_prime
 
 BRUTE_FORCE_MAX = 13
 
 # intermediate bound for the int64 convolution: entries <= 2, pair sums <= 4p,
 # products <= 16 p^2, final sums <= 16 p^3: safe with headroom below this cap
-_CONV_MAX_P = 1 << 19
-
-
-class TooLarge(ValueError):
-    """Brute-force enumeration was requested beyond its cost cap."""
+CONV_MAX_P = 1 << 19
 
 
 def legendre(a: int, p: int) -> int:
@@ -45,7 +41,7 @@ def count_N(p: int) -> int:
 
     p must be an odd prime: the fiber sizes use Euler's criterion.
     """
-    if p > _CONV_MAX_P:
+    if p > CONV_MAX_P:
         raise TooLarge(f"convolution word-width bound exceeded for p = {p}")
     if p == 2 or not is_prime(p):
         raise ValueError(f"N(p) needs an odd prime p, got {p}")

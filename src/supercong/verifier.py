@@ -20,17 +20,19 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .eta import DEFAULT_LIMIT, a_p
+from .eta import DEFAULT_LIMIT, TABLE_MAX_BOUND, a_p
 from .exact import (
     TRACE_OMEGA,
     ConjugatePair,
     NegativeValuation,
     ResidueInt,
     half_harmonic2,
-    pochhammer,
+    pochhammer_mod,
     reduce_mod,
-    vp,
 )
+
+# unused by the checks, but perfbench/tracing.py wraps every name it lists in this module
+from .exact import pochhammer, vp  # noqa: F401
 from .hypergeom import (
     bailey_b1_check,
     c3_check,
@@ -41,11 +43,13 @@ from .hypergeom import (
     whipple_c1_check,
 )
 from .padic_gamma import gamma_p
-from .variety import count_N
+from .variety import CONV_MAX_P, count_N
 
 TOOL_VERSION = "0.1.0"
 
 SWISHER_MAX_P = 50
+
+ETA_CAP_NOTE = f"cost cap: eta bound <= {TABLE_MAX_BOUND} for the int64 table"
 
 F = Fraction
 
@@ -130,9 +134,11 @@ def check_a1(p: int, eta_limit: int = DEFAULT_LIMIT) -> CheckOutcome:
     """a(p) = 4F3[1/2,1/2,1/2,1/2; 1,1,1; 1]_{(p-1)/2} (mod p^3), every odd prime."""
     if p % 2 == 0:
         return _skip(CheckId.A1, p, "p must be odd")
+    if eta_limit > TABLE_MAX_BOUND:
+        return _skip(CheckId.A1, p, ETA_CAP_NOTE)
     try:
         lhs = reduce_mod(a_p(p, eta_limit), p, 3)
-        rhs = reduce_mod(kilbourn_lhs(p), p, 3)
+        rhs = kilbourn_lhs(p, 3)
     except NegativeValuation as exc:
         return CheckOutcome(CheckId.A1, p, "fail", note=f"negative valuation: {exc}")
     return _residue_outcome(CheckId.A1, p, lhs, rhs)
@@ -142,9 +148,11 @@ def check_a2(p: int, eta_limit: int = DEFAULT_LIMIT) -> CheckOutcome:
     """a(p) = p * 4F3[1/2,1/2,1/2,1/2; 1,3/4,5/4; 1]_{(p-1)/2} (mod p^3), p >= 5."""
     if p < 5:
         return _skip(CheckId.A2, p, "theorem requires p >= 5")
+    if eta_limit > TABLE_MAX_BOUND:
+        return _skip(CheckId.A2, p, ETA_CAP_NOTE)
     try:
         lhs = reduce_mod(a_p(p, eta_limit), p, 3)
-        rhs = reduce_mod(thm1_rhs(p), p, 3)
+        rhs = thm1_rhs(p, 3)
     except NegativeValuation as exc:
         return CheckOutcome(CheckId.A2, p, "fail", note=f"negative valuation: {exc}")
     return _residue_outcome(CheckId.A2, p, lhs, rhs)
@@ -156,7 +164,7 @@ def check_a3(p: int) -> CheckOutcome:
     if p % 2 == 0:
         return _skip(CheckId.A3, p, "p must be odd")
     try:
-        lhs = reduce_mod(vanhamme_lhs(p), p, 3)
+        lhs = vanhamme_lhs(p, 3)
         if p % 4 == 1:
             rhs = reduce_mod(F(-p), p, 3) * gamma_p(F(1, 4), p, 3) ** 4
             note = "branch p = 1 (mod 4)"
@@ -175,7 +183,7 @@ def check_a4(p: int) -> CheckOutcome:
     if p < 7:
         return _skip(CheckId.A4, p, "theorem requires p >= 7")
     try:
-        lhs = reduce_mod(vanhamme_lhs(p), p, 4)
+        lhs = vanhamme_lhs(p, 4)
         rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
     except NegativeValuation as exc:
         return CheckOutcome(CheckId.A4, p, "fail", note=f"negative valuation: {exc}")
@@ -189,7 +197,7 @@ def check_a3_swisher(p: int) -> CheckOutcome:
     if p > SWISHER_MAX_P:
         return _skip(CheckId.A3_SWISHER, p, f"cost cap: p <= {SWISHER_MAX_P} for mod p^5")
     try:
-        lhs = reduce_mod(vanhamme_lhs(p), p, 5)
+        lhs = vanhamme_lhs(p, 5)
         rhs = reduce_mod(F(-p), p, 5) * gamma_p(F(1, 4), p, 5) ** 4
     except NegativeValuation as exc:
         return CheckOutcome(CheckId.A3_SWISHER, p, "fail", note=f"negative valuation: {exc}")
@@ -199,29 +207,29 @@ def check_a3_swisher(p: int) -> CheckOutcome:
 def check_b4(p: int) -> CheckOutcome:
     """(1/2)_m ((1-p)/2)_m / [(1+wp/2)_m (1+w^2p/2)_m] = 1 mod p^3, m = (p-1)/2.
 
-    The conjugate-pair denominator is prod_{j<=m} (j^2 - (p/2) j + p^2/4),
-    so the whole ratio is evaluated in plain rationals.
+    The conjugate-pair denominator is prod_{j<=m} (j^2 - (p/2) j + p^2/4);
+    every factor of the three products is a p-unit, so all of them are
+    multiplied mod p^3.
     """
     if p < 5:
         return _skip(CheckId.B4, p, "requires p >= 5")
     m = (p - 1) // 2
-    num = pochhammer(F(1, 2), m) * pochhammer(F(1 - p, 2), m)
-    den = ConjugatePair(F(1), F(p, 2), TRACE_OMEGA).pochhammer(m)
-    lhs = reduce_mod(num / den, p, 3)
+    num = pochhammer_mod(F(1, 2), m, p, 3) * pochhammer_mod(F(1 - p, 2), m, p, 3)
+    den = pochhammer_mod(ConjugatePair(F(1), F(p, 2), TRACE_OMEGA), m, p, 3)
+    lhs = num * den.inverse()
     return _residue_outcome(CheckId.B4, p, lhs, ResidueInt(1, p, 3))
 
 
 def check_b6(p: int) -> CheckOutcome:
     """(1+p/2)_m (1-p/2)_m / (1)_m^2 = 1 mod p^3, and the sharper Taylor form
-    1 - (p^2/4) sum_{j<=m} 1/j^2 mod p^4."""
+    1 - (p^2/4) sum_{j<=m} 1/j^2 mod p^4.  Every factor is a p-unit."""
     if p < 5:
         return _skip(CheckId.B6, p, "requires p >= 5")
     m = (p - 1) // 2
-    prod = pochhammer(1 + F(p, 2), m) * pochhammer(1 - F(p, 2), m) / pochhammer(F(1), m) ** 2
-    coarse_ok = vp(prod - 1, p) >= 3
-    taylor = 1 - F(p * p, 4) * half_harmonic2(p)
-    lhs = reduce_mod(prod, p, 4)
-    rhs = reduce_mod(taylor, p, 4)
+    num = pochhammer_mod(1 + F(p, 2), m, p, 4) * pochhammer_mod(1 - F(p, 2), m, p, 4)
+    lhs = num * pochhammer_mod(1, m, p, 4).inverse() ** 2
+    rhs = 1 - reduce_mod(F(p * p, 4), p, 4) * half_harmonic2(p, 4)
+    coarse_ok = (lhs.value - 1) % p**3 == 0
     if coarse_ok and lhs == rhs:
         return CheckOutcome(CheckId.B6, p, "pass", lhs, rhs, lhs.modulus)
     note = []
@@ -240,7 +248,7 @@ def check_c5(p: int) -> CheckOutcome:
     if p < 7:
         return _skip(CheckId.C5, p, "requires p >= 7")
     try:
-        lhs = reduce_mod(c3_rhs_closed(p), p, 4)
+        lhs = c3_rhs_closed(p, 4)
         rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
     except NegativeValuation as exc:
         return CheckOutcome(CheckId.C5, p, "fail", note=f"{type(exc).__name__}: {exc}")
@@ -251,7 +259,7 @@ def check_wolstenholme(p: int) -> CheckOutcome:
     """sum_{j=1}^{(p-1)/2} 1/j^2 = 0 (mod p) for p >= 5."""
     if p < 5:
         return _skip(CheckId.WOLSTENHOLME, p, "requires p >= 5")
-    lhs = reduce_mod(half_harmonic2(p), p, 1)
+    lhs = half_harmonic2(p, 1)
     return _residue_outcome(CheckId.WOLSTENHOLME, p, lhs, ResidueInt(0, p, 1))
 
 
@@ -259,6 +267,10 @@ def check_trace(p: int, eta_limit: int = DEFAULT_LIMIT) -> CheckOutcome:
     """a(p) = p^3 - 2p^2 - 7 - N(p) with a(p) from the eta expansion."""
     if p % 2 == 0:
         return _skip(CheckId.TRACE_RELATION, p, "p must be odd")
+    if p > CONV_MAX_P:
+        return _skip(CheckId.TRACE_RELATION, p, f"cost cap: p <= {CONV_MAX_P} for the int64 point count")
+    if eta_limit > TABLE_MAX_BOUND:
+        return _skip(CheckId.TRACE_RELATION, p, ETA_CAP_NOTE)
     coeff = a_p(p, eta_limit)
     n_count = count_N(p)
     ok = coeff == p**3 - 2 * p**2 - 7 - n_count

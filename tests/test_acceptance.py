@@ -71,7 +71,6 @@ def test_criterion_03_a3_sweep_both_branches():
 
 def test_criterion_04_a4_sweep():
     primes = [p for p in primes_between(7, 100) if p % 4 == 3]
-    assert max(p**4 for p in primes) <= 10**8  # stated cost cap for Gamma_p mod p^4
     failures = [p for p in primes if check_a4(p).status != "pass"]
     assert failures == []
     report(4, f"a4 holds mod p^4 for all {len(primes)} primes = 3 mod 4 in 7..100")
@@ -207,3 +206,17 @@ def test_criterion_13_a4_c5_to_1000():
     assert failures == []
     report(13, f"a4 and c5 hold mod p^4 for all {len(primes)} primes = 3 mod 4 in 7..1000 "
                f"({elapsed:.1f}s single-threaded)")
+
+
+def test_criterion_14_series_checks_above_ten_thousand():
+    start = time.perf_counter()
+    checks = {CheckId.A1, CheckId.A2, CheckId.B4, CheckId.B6, CheckId.WOLSTENHOLME,
+              CheckId.TRACE_RELATION}
+    suite = run_suite(10000, 10100, checks, workers=1)
+    elapsed = time.perf_counter() - start
+    primes = primes_between(10000, 10100)
+    assert len(suite.outcomes) == len(checks) * len(primes)
+    failures = [(o.check.value, o.p) for o in suite.outcomes if o.status != "pass"]
+    assert failures == []
+    report(14, f"a1, a2, b4, b6, wolstenholme and trace hold at all {len(primes)} primes "
+               f"in 10000..10100 ({elapsed:.1f}s single-threaded)")

@@ -1,6 +1,9 @@
 import pytest
 
-from supercong.eta import IntSeries, OutOfRange, a_p, eta_factor_series, f_coefficients
+from dense_eta import IntSeries, dense_f_coefficients, eta_factor_series
+from supercong import cli
+from supercong.eta import TABLE_MAX_BOUND, OutOfRange, a_p, f_coefficients
+from supercong.exact import TooLarge
 
 
 def naive_poly_mul(a, b, bound):
@@ -85,3 +88,35 @@ class TestCoefficients:
         assert a_p(7, 50) == 24
         with pytest.raises(OutOfRange):
             a_p(101, 50)
+
+
+class TestAgainstDenseOracle:
+    # a fixed sample of bounds <= 2000, both parities, plus the smallest ones
+    SAMPLE = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 63, 64, 97, 128, 255, 256,
+              499, 500, 777, 1000, 1023, 1024, 1499, 1500, 1999, 2000)
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return dense_f_coefficients(max(self.SAMPLE))
+
+    def test_small_bounds_directly(self):
+        for bound in (1, 2, 3):
+            assert f_coefficients(bound) == dense_f_coefficients(bound)
+        assert f_coefficients(1) == (0, 1)
+
+    def test_sampled_bounds(self, oracle):
+        # the dense product truncated at B is the prefix of the one truncated at 2000
+        for bound in self.SAMPLE:
+            assert f_coefficients(bound) == oracle[: bound + 1], bound
+
+
+class TestTableCap:
+    def test_over_the_int64_bound_raises(self):
+        with pytest.raises(TooLarge):
+            f_coefficients(TABLE_MAX_BOUND + 1)
+
+    def test_cli_limit_over_the_bound_is_usage_error(self, capsys):
+        code = cli.main(["eta", "--limit", str(TABLE_MAX_BOUND + 1)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1

@@ -13,9 +13,11 @@ from supercong.exact import (
     NegativeValuation,
     ResidueInt,
     congruent,
+    cleared_factor,
     half_harmonic2,
     is_prime,
     pochhammer,
+    pochhammer_mod,
     reduce_mod,
     vp,
 )
@@ -208,11 +210,52 @@ class TestCollapsedProducts:
         )
 
 
+def half_harmonic2_exact(p):
+    """sum_{j=1}^{(p-1)/2} 1/j^2 in Q: the oracle for half_harmonic2."""
+    return sum((F(1, j * j) for j in range(1, (p - 1) // 2 + 1)), F(0))
+
+
 class TestHalfHarmonic:
     def test_examples(self):
-        assert half_harmonic2(3) == 1
-        assert half_harmonic2(5) == F(5, 4)
+        assert half_harmonic2_exact(3) == 1
+        assert half_harmonic2_exact(5) == F(5, 4)
+        assert half_harmonic2(3, 2) == reduce_mod(1, 3, 2)
+        assert half_harmonic2(5, 3) == reduce_mod(F(5, 4), 5, 3)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
     def test_divisible_by_p(self, p):
-        assert vp(half_harmonic2(p), p) >= 1
+        assert vp(half_harmonic2_exact(p), p) >= 1
+        assert half_harmonic2(p, 1).value == 0
+
+    @pytest.mark.parametrize("p", primes_between(3, 400))
+    def test_matches_exact_sum(self, p):
+        exact = half_harmonic2_exact(p)
+        for k in (1, 2, 4):
+            assert half_harmonic2(p, k) == reduce_mod(exact, p, k)
+
+
+pochhammer_params = st.one_of(
+    small_fractions,
+    st.builds(ConjugatePair, small_fractions, small_fractions, st.sampled_from([TRACE_I, TRACE_OMEGA])),
+)
+
+
+class TestPochhammerMod:
+    @given(pochhammer_params, st.integers(0, 8))
+    @settings(max_examples=100)
+    def test_cleared_factor(self, param, j):
+        (c0, c1, c2), den = cleared_factor(param)
+        factor = param.factor(j) if isinstance(param, ConjugatePair) else param + j
+        assert F(c0 + c1 * j + c2 * j * j, den) == factor
+
+    @given(pochhammer_params, st.integers(0, 12), small_primes, st.integers(1, 4))
+    @settings(max_examples=150)
+    def test_matches_exact_symbol(self, param, n, p, k):
+        _, den = cleared_factor(param)
+        assume(den % p != 0)
+        exact = param.pochhammer(n) if isinstance(param, ConjugatePair) else pochhammer(param, n)
+        assert pochhammer_mod(param, n, p, k) == reduce_mod(exact, p, k)
+
+    def test_denominator_divisible_by_p_is_rejected(self):
+        with pytest.raises(NegativeValuation):
+            pochhammer_mod(F(1, 3), 2, 3, 2)

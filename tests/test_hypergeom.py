@@ -3,11 +3,22 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qzeta
 from supercong.eta import a_p
-from supercong.exact import TRACE_I, TRACE_OMEGA, ConjugatePair, pochhammer, reduce_mod, vp
+from supercong.exact import (
+    TRACE_I,
+    TRACE_OMEGA,
+    ConjugatePair,
+    NegativeValuation,
+    pochhammer,
+    reduce_mod,
+    vp,
+)
 from supercong.hypergeom import (
+    GuardExceeded,
     PoleParameter,
     SeriesSpec,
     ZeroDenominatorPochhammer,
@@ -15,11 +26,15 @@ from supercong.hypergeom import (
     c3_check,
     c3_rhs_closed,
     kilbourn_lhs,
+    kilbourn_spec,
+    pfq_residue,
     pfq_truncated,
     pfq_truncated_reference,
     ramanujan_float_check,
     thm1_rhs,
+    thm1_spec,
     vanhamme_lhs,
+    vanhamme_spec,
     whipple_c1_check,
 )
 from supercong.verifier import primes_between
@@ -93,32 +108,144 @@ class TestPfqTruncated:
 
 class TestConcreteSums:
     def test_kilbourn_p3(self):
-        assert kilbourn_lhs(3) == F(17, 16)
-        assert reduce_mod(kilbourn_lhs(3), 3, 3).value == 23
+        assert pfq_truncated(kilbourn_spec(3)) == F(17, 16)
+        assert kilbourn_lhs(3, 3).value == 23
 
     def test_thm1_rhs_p5(self):
-        value = thm1_rhs(5)
+        value = 5 * pfq_truncated(thm1_spec(5))
         assert vp(value, 5) >= 0
+        assert thm1_rhs(5, 3) == reduce_mod(value, 5, 3)
         # cross-module oracle: congruent to a(5) = -2 mod 5^3
-        assert reduce_mod(value, 5, 3) == reduce_mod(a_p(5, 30), 5, 3)
+        assert thm1_rhs(5, 3) == reduce_mod(a_p(5, 30), 5, 3)
 
     def test_thm1_rhs_zero_truncation_is_p(self):
         assert p_times_constant_term(5) == 5
 
     def test_vanhamme_values(self):
-        assert vanhamme_lhs(3) == F(27, 32)
-        assert vp(vanhamme_lhs(3), 3) == 3
-        assert vanhamme_lhs(5) == F(29835, 32768)
+        assert pfq_truncated(vanhamme_spec(3)) == F(27, 32)
+        assert vanhamme_lhs(3, 3).value == 0  # vp = 3
+        assert vanhamme_lhs(3, 4).value == 27 * reduce_mod(F(1, 32), 3, 1).value
+        assert pfq_truncated(vanhamme_spec(5)) == F(29835, 32768)
         assert 29835 == 5 * 5967
-        assert vp(vanhamme_lhs(5), 5) == 1
+        assert vanhamme_lhs(5, 1).value == 0 and vanhamme_lhs(5, 2).value != 0  # vp = 1
 
     @pytest.mark.parametrize("p", [3, 7, 11, 19, 23])
     def test_vanhamme_vanishes_for_three_mod_four(self, p):
-        assert vp(vanhamme_lhs(p), p) >= 3
+        assert vp(pfq_truncated(vanhamme_spec(p)), p) >= 3
+        assert vanhamme_lhs(p, 3).value == 0
 
 
 def p_times_constant_term(p):
     return p * pfq_truncated(SeriesSpec((F(1, 2),) * 4, (F(1), F(3, 4), F(5, 4)), F(1), 0))
+
+
+ODD_PRIMES_TO_400 = primes_between(3, 400)
+
+
+class TestResidueSeriesAgainstOracle:
+    """The residue series the checks use against the exact sum reduced mod p^k."""
+
+    @pytest.mark.parametrize("p", ODD_PRIMES_TO_400)
+    def test_kilbourn_and_thm1(self, p):
+        for k in (3, 4, 5):
+            assert kilbourn_lhs(p, k) == reduce_mod(pfq_truncated(kilbourn_spec(p)), p, k)
+            if p >= 5:
+                assert thm1_rhs(p, k) == reduce_mod(p * pfq_truncated(thm1_spec(p)), p, k)
+
+    @pytest.mark.parametrize("p", ODD_PRIMES_TO_400)
+    def test_vanhamme(self, p):
+        exact = pfq_truncated(vanhamme_spec(p))
+        for k in (3, 4, 5):
+            assert vanhamme_lhs(p, k) == reduce_mod(exact, p, k)
+
+
+def rational_params(min_size, max_size):
+    return st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=12), min_size=min_size, max_size=max_size
+    )
+
+
+@st.composite
+def residue_cases(draw):
+    """A spec with rational and conjugate-pair parameters of both traces, and a prime."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    pairs = st.builds(
+        ConjugatePair,
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.sampled_from([TRACE_I, TRACE_OMEGA]),
+    )
+    # bottom parameters n/d with p | n + jd for some j: factors divisible by p
+    p_hits = st.builds(lambda j, d: F(p - j * d, d), st.integers(0, 4), st.integers(1, 4))
+    top = draw(rational_params(0, 4)) + draw(st.lists(pairs, max_size=2))
+    bottom = draw(rational_params(0, 2)) + draw(st.lists(pairs, max_size=1))
+    bottom += draw(st.lists(p_hits, max_size=2))
+    argument = draw(st.fractions(min_value=-3, max_value=3, max_denominator=p + 1))
+    terms = draw(st.integers(0, 3 * p))
+    spec = SeriesSpec(tuple(draw(st.permutations(top))), tuple(draw(st.permutations(bottom))),
+                      argument, terms)
+    return spec, p, draw(st.integers(1, 4)), draw(st.integers(0, 2))
+
+
+class TestPfqResidue:
+    @given(residue_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reduced_exact_sum(self, case):
+        spec, p, k, e = case
+        try:
+            exact = p**e * pfq_truncated(spec)
+        except ZeroDenominatorPochhammer as info:
+            # the guard may trip at an earlier term than the vanishing factor
+            with pytest.raises((ZeroDenominatorPochhammer, GuardExceeded)) as got:
+                pfq_residue(spec, p, k, e)
+            if got.type is ZeroDenominatorPochhammer:
+                assert (got.value.term_index, got.value.param_index) == (
+                    info.term_index, info.param_index
+                )
+            return
+        try:
+            residue = pfq_residue(spec, p, k, e)
+        except GuardExceeded:
+            return  # the guard only limits precision: the sum itself may be fine
+        except NegativeValuation:
+            assert vp(exact, p) < 0
+            return
+        assert residue == reduce_mod(exact, p, k)
+
+    def test_bottom_factor_divisible_by_p(self):
+        # (3/2)_k has the factor 5/2 at k = 1: the term at k = 2 is 3/40
+        spec = SeriesSpec((F(1, 2),) * 2, (F(3, 2),), F(1), 6)
+        assert pfq_truncated(SeriesSpec(spec.top, spec.bottom, F(1), 2)) - 1 - F(1, 6) == F(3, 40)
+        exact = 5 * pfq_truncated(spec)
+        assert vp(exact, 5) >= 0
+        assert pfq_residue(spec, 5, 3, e=1) == reduce_mod(exact, 5, 3)
+
+    def test_sum_with_negative_valuation_raises(self):
+        spec = SeriesSpec((F(1, 2),), (F(3, 2),), F(1), 3)  # 1 + 1/3 + 1/5 + 1/7
+        with pytest.raises(NegativeValuation) as info:
+            pfq_residue(spec, 5, 2)
+        assert not isinstance(info.value, GuardExceeded)
+        assert pfq_residue(spec, 5, 2, e=1) == reduce_mod(5 * pfq_truncated(spec), 5, 2)
+
+    def test_guard_error(self):
+        # one bottom parameter gives guard 1; the term 1/(k!)^2 has valuation -2 at k = 3
+        spec = SeriesSpec((), (F(1),), F(1), 4)
+        with pytest.raises(GuardExceeded) as info:
+            pfq_residue(spec, 3, 3)
+        assert isinstance(info.value, NegativeValuation)
+        assert "term 3" in str(info.value)
+
+    def test_vanishing_top_factor_ends_the_series(self):
+        spec = SeriesSpec((F(-2), F(1, 2)), (F(3),), F(7), 9)
+        assert pfq_residue(spec, 7, 3) == reduce_mod(pfq_truncated(spec), 7, 3)
+
+    def test_argument_divisible_by_p(self):
+        spec = SeriesSpec((F(1, 2),) * 2, (F(1),), F(9, 2), 8)
+        assert pfq_residue(spec, 3, 4) == reduce_mod(pfq_truncated(spec), 3, 4)
+
+    def test_zero_argument(self):
+        spec = SeriesSpec((F(1, 2),), (F(1),), F(0), 5)
+        assert pfq_residue(spec, 3, 2).value == 1
 
 
 class TestWhippleC1:
@@ -197,7 +324,9 @@ class TestC3:
             (-F(p * p, 16) - (F(2 * j - 1, 2)) ** 2 for j in range(1, q + 1)), start=F(1)
         )
         assert den.as_rational() == den_collapsed
-        assert c3_rhs_closed(p) == -p * num_collapsed / den_collapsed
+        closed = -p * num_collapsed / den_collapsed
+        assert c3_check(p).rhs == closed
+        assert c3_rhs_closed(p, 4) == reduce_mod(closed, p, 4)
 
     @pytest.mark.parametrize("p", [p for p in primes_between(7, 50) if p % 4 == 3])
     def test_sides_match_qzeta_oracle(self, p):

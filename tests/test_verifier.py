@@ -3,6 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from supercong import verifier
+from supercong.eta import TABLE_MAX_BOUND
+from supercong.exact import TRACE_I, TRACE_OMEGA, ConjugatePair, pochhammer, reduce_mod, vp
+from supercong.variety import CONV_MAX_P
 from supercong.verifier import (
     CheckId,
     CheckOutcome,
@@ -204,3 +208,102 @@ class TestOutcomeInvariants:
         differ = _residue_outcome(CheckId.A1, 3, ResidueInt(1, 3, 3), ResidueInt(2, 3, 3))
         assert equal.status == "pass"
         assert differ.status == "fail"
+
+
+# the Fraction forms the checks used before they worked in Z/p^k: oracles for the residues
+
+
+def b4_exact(p):
+    m = (p - 1) // 2
+    num = pochhammer(F(1, 2), m) * pochhammer(F(1 - p, 2), m)
+    return num / ConjugatePair(F(1), F(p, 2), TRACE_OMEGA).pochhammer(m)
+
+
+def b6_exact(p):
+    """The ratio and its Taylor form 1 - (p^2/4) sum_{j<=m} 1/j^2."""
+    m = (p - 1) // 2
+    ratio = pochhammer(1 + F(p, 2), m) * pochhammer(1 - F(p, 2), m) / pochhammer(F(1), m) ** 2
+    harmonic = sum((F(1, j * j) for j in range(1, m + 1)), F(0))
+    return ratio, 1 - F(p * p, 4) * harmonic
+
+
+def c5_exact(p):
+    """-(p^3/16) prod_{j<q} (j^2 + p^2/16) / prod_{j<=q} ((j - 1/2)^2 + p^2/16), q = (p+1)/4."""
+    q = (p + 1) // 4
+    num = ConjugatePair(F(1), F(p, 4), TRACE_I).pochhammer(q - 1)
+    return -F(p**3, 16) * num / ConjugatePair(F(1, 2), F(p, 4), TRACE_I).pochhammer(q)
+
+
+PRIMES_5_TO_400 = primes_between(5, 400)
+
+
+class TestResiduesAgainstFractionForms:
+    @pytest.mark.parametrize("p", PRIMES_5_TO_400)
+    def test_b4(self, p):
+        outcome = check_b4(p)
+        assert outcome.lhs_residue == reduce_mod(b4_exact(p), p, 3)
+        assert outcome.status == "pass"
+
+    @pytest.mark.parametrize("p", PRIMES_5_TO_400)
+    def test_b6(self, p):
+        ratio, taylor = b6_exact(p)
+        outcome = check_b6(p)
+        assert outcome.lhs_residue == reduce_mod(ratio, p, 4)
+        assert outcome.rhs_residue == reduce_mod(taylor, p, 4)
+        assert vp(ratio - 1, p) >= 3 and outcome.status == "pass"
+
+    @pytest.mark.parametrize("p", [p for p in PRIMES_5_TO_400 if p % 4 == 3 and p >= 7])
+    def test_c5(self, p):
+        assert check_c5(p).lhs_residue == reduce_mod(c5_exact(p), p, 4)
+
+    @pytest.mark.parametrize("p", PRIMES_5_TO_400)
+    def test_wolstenholme(self, p):
+        harmonic = sum((F(1, j * j) for j in range(1, (p - 1) // 2 + 1)), F(0))
+        assert check_wolstenholme(p).lhs_residue == reduce_mod(harmonic, p, 1)
+
+    def test_b6_failure_names_both_parts(self, monkeypatch):
+        # a product that is off by p^2 fails the mod p^3 test and the Taylor form
+        real = verifier.pochhammer_mod
+
+        def off(param, n, p, k):
+            value = real(param, n, p, k)
+            return value * (1 + p * p) if param == 1 + F(p, 2) else value
+
+        monkeypatch.setattr(verifier, "pochhammer_mod", off)
+        outcome = check_b6(7)
+        assert outcome.status == "fail"
+        assert outcome.note == "product != 1 mod p^3; Taylor form fails mod p^4"
+
+
+FIRST_PRIME_OVER_CAPS = 524309  # the least prime above 2^19
+
+
+class TestCostCaps:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a capped check did work")
+
+        monkeypatch.setattr(verifier, "a_p", refuse)
+        monkeypatch.setattr(verifier, "count_N", refuse)
+
+    def test_caps_are_the_int64_bounds(self):
+        assert TABLE_MAX_BOUND == CONV_MAX_P == 1 << 19 < FIRST_PRIME_OVER_CAPS
+
+    def test_trace_over_the_count_cap_is_skipped(self, no_work):
+        outcome = check_trace(FIRST_PRIME_OVER_CAPS, FIRST_PRIME_OVER_CAPS)
+        assert outcome.status == "skipped"
+        assert outcome.note == f"cost cap: p <= {CONV_MAX_P} for the int64 point count"
+
+    @pytest.mark.parametrize("check", [check_a1, check_a2, check_trace])
+    def test_eta_bound_over_the_table_cap_is_skipped(self, no_work, check):
+        outcome = check(7, TABLE_MAX_BOUND + 1)
+        assert outcome.status == "skipped"
+        assert outcome.note == f"cost cap: eta bound <= {TABLE_MAX_BOUND} for the int64 table"
+
+    def test_sweep_above_the_caps_finishes(self, no_work):
+        p = FIRST_PRIME_OVER_CAPS
+        checks = {CheckId.A1, CheckId.A2, CheckId.TRACE_RELATION}
+        report = run_suite(p, p, checks, workers=1)
+        assert [o.status for o in report.outcomes] == ["skipped"] * 3
+        assert all(o.note.startswith("cost cap:") for o in report.outcomes)
