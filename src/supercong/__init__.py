@@ -5,7 +5,6 @@ from .exact import (
     TRACE_OMEGA,
     ConjugatePair,
     NegativeValuation,
-    Rational,
     ResidueInt,
     TooLarge,
     congruent,
@@ -15,7 +14,7 @@ from .exact import (
     reduce_mod,
     vp,
 )
-from .eta import DEFAULT_LIMIT, TABLE_MAX_BOUND, OutOfRange, a_p, f_coefficients
+from .eta import TABLE_MAX_BOUND, a_p, f_coefficients
 from .hypergeom import (
     FloatOutcome,
     GuardExceeded,
@@ -41,7 +40,6 @@ from .hypergeom import (
 from .padic_gamma import gamma_p, gamma_p_int, sp
 from .variety import (
     brute_force_N,
-    check_trace_relation,
     count_N,
     fiber_counts,
     legendre,

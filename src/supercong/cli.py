@@ -1,7 +1,8 @@
 """Command-line front end: prime sweeps, eta coefficients, point counts, Gamma_p, identities.
 
 Exit codes: 0 all requested checks passed (or informational command), 1 at
-least one check failed, 2 usage or configuration error.
+least one check failed (a check that raised counts as failed), 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .eta import DEFAULT_LIMIT, f_coefficients
+from .eta import f_coefficients
 from .exact import NegativeValuation
 from .hypergeom import (
     SeriesSpec,
@@ -27,7 +28,6 @@ from .verifier import (
     DEFAULT_CHECKS,
     CheckId,
     ConfigError,
-    default_workers,
     emit_report,
     run_suite,
 )
@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--pmax", type=int, default=100)
     verify.add_argument("--workers", type=int, default=None,
                         help="default: $SUPERCONG_WORKERS or 1")
-    verify.add_argument("--eta-bound", type=int, default=DEFAULT_LIMIT)
     verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.add_argument("--out", default=None, help="write the report here instead of stdout")
     verify.add_argument("--no-timing", action="store_true",
@@ -106,13 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(
-        args.pmin,
-        args.pmax,
-        args.checks,
-        workers=args.workers if args.workers is not None else default_workers(),
-        eta_bound=args.eta_bound,
-    )
+    report = run_suite(args.pmin, args.pmax, args.checks, workers=args.workers)
     data = emit_report(report, fmt=args.format, include_timing=not args.no_timing)
     if args.out:
         with open(args.out, "wb") as fh:

@@ -18,14 +18,11 @@ import numpy as np
 
 from .exact import TooLarge
 
-DEFAULT_LIMIT = 1000
-
 # largest table bound B whose int64 convolution provably cannot overflow (see f_coefficients)
 TABLE_MAX_BOUND = 1 << 19
 
-
-class OutOfRange(ValueError):
-    """A coefficient beyond the computed table bound was requested."""
+# a_p's tables are the powers of two from here to TABLE_MAX_BOUND
+MIN_TABLE_BOUND = 1 << 10
 
 
 def _pentagonal(n: int) -> list[tuple[int, int]]:
@@ -55,7 +52,7 @@ def _fourth_power(n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=(TABLE_MAX_BOUND // MIN_TABLE_BOUND).bit_length())
 def f_coefficients(bound: int) -> tuple[int, ...]:
     """Coefficients a(0..bound) of the eta product, a(0) = 0 and a(1) = 1.
 
@@ -90,8 +87,10 @@ def f_coefficients(bound: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def a_p(p: int, limit: int = DEFAULT_LIMIT) -> int:
-    """a(p) looked up from the coefficient table of the given bound."""
-    if p > limit:
-        raise OutOfRange(f"a({p}) requested but table bound is {limit}")
-    return f_coefficients(limit)[p]
+def a_p(p: int) -> int:
+    """a(p), looked up in the table whose bound is the least power of two >= max(p, 2^10).
+
+    Powers of two keep the number of table sizes a sweep builds logarithmic
+    in its largest p, and the lru_cache holds every size up to TABLE_MAX_BOUND.
+    """
+    return f_coefficients(1 << (max(p, MIN_TABLE_BOUND) - 1).bit_length())[p]

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 

@@ -65,8 +65,3 @@ def brute_force_N(p: int) -> int:
                 r = (t1 + t2 + t3) % p
                 count += sum(1 for t4 in t if (r + t4) % p == 0)
     return count
-
-
-def check_trace_relation(p: int, a_p: int) -> bool:
-    """Whether a(p) = p^3 - 2p^2 - 7 - N(p)."""
-    return a_p == p**3 - 2 * p**2 - 7 - count_N(p)

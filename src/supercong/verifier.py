@@ -1,8 +1,9 @@
 """Runs the congruence checks across prime ranges and emits machine-readable reports.
 
 Every check is a pure function prime -> CheckOutcome, so a sweep parallelizes
-over primes with no shared state; outcomes are merged by a deterministic sort,
-making a Report independent of the worker count.  Residues are rendered as
+over primes with no shared state; a check that raises becomes a fail outcome
+naming the exception.  Outcomes are merged by a deterministic sort, making a
+Report independent of the worker count.  Residues are rendered as
 decimal strings in reports to avoid integer-width ambiguity in consumers.
 """
 
@@ -20,11 +21,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .eta import DEFAULT_LIMIT, TABLE_MAX_BOUND, a_p
+from .eta import TABLE_MAX_BOUND, a_p
 from .exact import (
     TRACE_OMEGA,
     ConjugatePair,
-    NegativeValuation,
     ResidueInt,
     half_harmonic2,
     pochhammer_mod,
@@ -130,32 +130,22 @@ def _identity_outcome(check: CheckId, p: int, outcome, note: str = "") -> CheckO
     return CheckOutcome(check, p, "fail", note=f"{note} {detail}".strip())
 
 
-def check_a1(p: int, eta_limit: int = DEFAULT_LIMIT) -> CheckOutcome:
+def check_a1(p: int) -> CheckOutcome:
     """a(p) = 4F3[1/2,1/2,1/2,1/2; 1,1,1; 1]_{(p-1)/2} (mod p^3), every odd prime."""
     if p % 2 == 0:
         return _skip(CheckId.A1, p, "p must be odd")
-    if eta_limit > TABLE_MAX_BOUND:
+    if p > TABLE_MAX_BOUND:
         return _skip(CheckId.A1, p, ETA_CAP_NOTE)
-    try:
-        lhs = reduce_mod(a_p(p, eta_limit), p, 3)
-        rhs = kilbourn_lhs(p, 3)
-    except NegativeValuation as exc:
-        return CheckOutcome(CheckId.A1, p, "fail", note=f"negative valuation: {exc}")
-    return _residue_outcome(CheckId.A1, p, lhs, rhs)
+    return _residue_outcome(CheckId.A1, p, reduce_mod(a_p(p), p, 3), kilbourn_lhs(p, 3))
 
 
-def check_a2(p: int, eta_limit: int = DEFAULT_LIMIT) -> CheckOutcome:
+def check_a2(p: int) -> CheckOutcome:
     """a(p) = p * 4F3[1/2,1/2,1/2,1/2; 1,3/4,5/4; 1]_{(p-1)/2} (mod p^3), p >= 5."""
     if p < 5:
         return _skip(CheckId.A2, p, "theorem requires p >= 5")
-    if eta_limit > TABLE_MAX_BOUND:
+    if p > TABLE_MAX_BOUND:
         return _skip(CheckId.A2, p, ETA_CAP_NOTE)
-    try:
-        lhs = reduce_mod(a_p(p, eta_limit), p, 3)
-        rhs = thm1_rhs(p, 3)
-    except NegativeValuation as exc:
-        return CheckOutcome(CheckId.A2, p, "fail", note=f"negative valuation: {exc}")
-    return _residue_outcome(CheckId.A2, p, lhs, rhs)
+    return _residue_outcome(CheckId.A2, p, reduce_mod(a_p(p), p, 3), thm1_rhs(p, 3))
 
 
 def check_a3(p: int) -> CheckOutcome:
@@ -163,16 +153,13 @@ def check_a3(p: int) -> CheckOutcome:
     p = 1 (mod 4) and vanishes mod p^3 for p = 3 (mod 4)."""
     if p % 2 == 0:
         return _skip(CheckId.A3, p, "p must be odd")
-    try:
-        lhs = vanhamme_lhs(p, 3)
-        if p % 4 == 1:
-            rhs = reduce_mod(F(-p), p, 3) * gamma_p(F(1, 4), p, 3) ** 4
-            note = "branch p = 1 (mod 4)"
-        else:
-            rhs = ResidueInt(0, p, 3)
-            note = "branch p = 3 (mod 4): sum vanishes mod p^3"
-    except NegativeValuation as exc:
-        return CheckOutcome(CheckId.A3, p, "fail", note=f"negative valuation: {exc}")
+    lhs = vanhamme_lhs(p, 3)
+    if p % 4 == 1:
+        rhs = reduce_mod(F(-p), p, 3) * gamma_p(F(1, 4), p, 3) ** 4
+        note = "branch p = 1 (mod 4)"
+    else:
+        rhs = ResidueInt(0, p, 3)
+        note = "branch p = 3 (mod 4): sum vanishes mod p^3"
     return _residue_outcome(CheckId.A3, p, lhs, rhs, note)
 
 
@@ -182,25 +169,19 @@ def check_a4(p: int) -> CheckOutcome:
         return _skip(CheckId.A4, p, "p != 3 (mod 4)")
     if p < 7:
         return _skip(CheckId.A4, p, "theorem requires p >= 7")
-    try:
-        lhs = vanhamme_lhs(p, 4)
-        rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
-    except NegativeValuation as exc:
-        return CheckOutcome(CheckId.A4, p, "fail", note=f"negative valuation: {exc}")
+    lhs = vanhamme_lhs(p, 4)
+    rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
     return _residue_outcome(CheckId.A4, p, lhs, rhs)
 
 
-def check_a3_swisher(p: int) -> CheckOutcome:
+def check_swisher(p: int) -> CheckOutcome:
     """The p = 1 (mod 4) branch of Van Hamme (A.2) strengthened to mod p^5."""
     if p % 4 != 1:
         return _skip(CheckId.A3_SWISHER, p, "p != 1 (mod 4)")
     if p > SWISHER_MAX_P:
         return _skip(CheckId.A3_SWISHER, p, f"cost cap: p <= {SWISHER_MAX_P} for mod p^5")
-    try:
-        lhs = vanhamme_lhs(p, 5)
-        rhs = reduce_mod(F(-p), p, 5) * gamma_p(F(1, 4), p, 5) ** 4
-    except NegativeValuation as exc:
-        return CheckOutcome(CheckId.A3_SWISHER, p, "fail", note=f"negative valuation: {exc}")
+    lhs = vanhamme_lhs(p, 5)
+    rhs = reduce_mod(F(-p), p, 5) * gamma_p(F(1, 4), p, 5) ** 4
     return _residue_outcome(CheckId.A3_SWISHER, p, lhs, rhs)
 
 
@@ -247,11 +228,8 @@ def check_c5(p: int) -> CheckOutcome:
         return _skip(CheckId.C5, p, "p != 3 (mod 4)")
     if p < 7:
         return _skip(CheckId.C5, p, "requires p >= 7")
-    try:
-        lhs = c3_rhs_closed(p, 4)
-        rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
-    except NegativeValuation as exc:
-        return CheckOutcome(CheckId.C5, p, "fail", note=f"{type(exc).__name__}: {exc}")
+    lhs = c3_rhs_closed(p, 4)
+    rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
     return _residue_outcome(CheckId.C5, p, lhs, rhs)
 
 
@@ -263,15 +241,13 @@ def check_wolstenholme(p: int) -> CheckOutcome:
     return _residue_outcome(CheckId.WOLSTENHOLME, p, lhs, ResidueInt(0, p, 1))
 
 
-def check_trace(p: int, eta_limit: int = DEFAULT_LIMIT) -> CheckOutcome:
+def check_trace(p: int) -> CheckOutcome:
     """a(p) = p^3 - 2p^2 - 7 - N(p) with a(p) from the eta expansion."""
     if p % 2 == 0:
         return _skip(CheckId.TRACE_RELATION, p, "p must be odd")
     if p > CONV_MAX_P:
         return _skip(CheckId.TRACE_RELATION, p, f"cost cap: p <= {CONV_MAX_P} for the int64 point count")
-    if eta_limit > TABLE_MAX_BOUND:
-        return _skip(CheckId.TRACE_RELATION, p, ETA_CAP_NOTE)
-    coeff = a_p(p, eta_limit)
+    coeff = a_p(p)
     n_count = count_N(p)
     ok = coeff == p**3 - 2 * p**2 - 7 - n_count
     return CheckOutcome(
@@ -280,14 +256,14 @@ def check_trace(p: int, eta_limit: int = DEFAULT_LIMIT) -> CheckOutcome:
     )
 
 
-def check_b1_identity(p: int) -> CheckOutcome:
+def check_b1(p: int) -> CheckOutcome:
     """Exact equality of both sides of the specialized Bailey transformation (both rational)."""
     if p % 2 == 0:
         return _skip(CheckId.B1_IDENTITY, p, "p must be odd")
     return _identity_outcome(CheckId.B1_IDENTITY, p, bailey_b1_check(p))
 
 
-def check_c3_identity(p: int) -> CheckOutcome:
+def check_c3(p: int) -> CheckOutcome:
     """Exact equality of the quartic 6F5 specialization and its closed form (both rational)."""
     if p % 4 != 3:
         return _skip(CheckId.C3_IDENTITY, p, "p != 3 (mod 4)")
@@ -296,7 +272,7 @@ def check_c3_identity(p: int) -> CheckOutcome:
     return _identity_outcome(CheckId.C3_IDENTITY, p, c3_check(p))
 
 
-def check_c1_identity(n: int, y) -> CheckOutcome:
+def check_c1(n: int, y) -> CheckOutcome:
     """Exact equality of the terminating Whipple 6F5 and its rational closed form."""
     return _identity_outcome(CheckId.C1_IDENTITY, n, whipple_c1_check(n, y), note=f"y={Fraction(y)}")
 
@@ -314,36 +290,20 @@ def primes_between(lo: int, hi: int) -> list[int]:
 
 
 def _run_task(task) -> CheckOutcome:
-    check, arg, eta_bound = task
+    """Run one (CheckId, args) task; an exception raised by the check becomes a fail outcome.
+
+    The check is looked up by name when the task runs, so a rebound
+    module attribute check_<value> is the one called.
+    """
+    check, args = task
     start = time.perf_counter()
-    if check is CheckId.A1:
-        outcome = check_a1(arg, eta_bound)
-    elif check is CheckId.A2:
-        outcome = check_a2(arg, eta_bound)
-    elif check is CheckId.A3:
-        outcome = check_a3(arg)
-    elif check is CheckId.A4:
-        outcome = check_a4(arg)
-    elif check is CheckId.A3_SWISHER:
-        outcome = check_a3_swisher(arg)
-    elif check is CheckId.B1_IDENTITY:
-        outcome = check_b1_identity(arg)
-    elif check is CheckId.B4:
-        outcome = check_b4(arg)
-    elif check is CheckId.B6:
-        outcome = check_b6(arg)
-    elif check is CheckId.C3_IDENTITY:
-        outcome = check_c3_identity(arg)
-    elif check is CheckId.C5:
-        outcome = check_c5(arg)
-    elif check is CheckId.WOLSTENHOLME:
-        outcome = check_wolstenholme(arg)
-    elif check is CheckId.TRACE_RELATION:
-        outcome = check_trace(arg, eta_bound)
-    elif check is CheckId.C1_IDENTITY:
-        outcome = check_c1_identity(*arg)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown check {check}")
+    try:
+        outcome = globals()[f"check_{check.value}"](*args)
+    except Exception as exc:
+        note = f"{type(exc).__name__}: {exc}"
+        if check is CheckId.C1_IDENTITY:
+            note = f"y={Fraction(args[1])} {note}"
+        outcome = CheckOutcome(check, args[0], "fail", note=note)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return replace(outcome, elapsed_ms=elapsed_ms)
 
@@ -357,7 +317,6 @@ def run_suite(
     pmax: int,
     checks: Iterable[CheckId],
     workers: Optional[int] = None,
-    eta_bound: int = DEFAULT_LIMIT,
     timestamp: Optional[str] = None,
 ) -> Report:
     """Run the selected checks over all primes in [pmin, pmax].
@@ -374,7 +333,6 @@ def run_suite(
         workers = default_workers()
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    eta_bound = max(eta_bound, pmax)
 
     primes = primes_between(pmin, pmax)
     tasks = []
@@ -382,9 +340,9 @@ def run_suite(
         if check not in checks:
             continue
         if check is CheckId.C1_IDENTITY:
-            tasks.extend((check, (n, y), eta_bound) for n in range(C1_MAX_N + 1) for y in C1_SAMPLE_YS)
+            tasks.extend((check, (n, y)) for n in range(C1_MAX_N + 1) for y in C1_SAMPLE_YS)
         else:
-            tasks.extend((check, p, eta_bound) for p in primes)
+            tasks.extend((check, (p,)) for p in primes)
 
     if workers == 1:
         outcomes = [_run_task(t) for t in tasks]

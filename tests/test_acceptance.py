@@ -25,11 +25,11 @@ from supercong.verifier import (
     check_a1,
     check_a2,
     check_a3,
-    check_a3_swisher,
     check_a4,
     check_b4,
     check_b6,
     check_c5,
+    check_swisher,
     check_trace,
     check_wolstenholme,
     emit_report,
@@ -78,7 +78,7 @@ def test_criterion_04_a4_sweep():
 
 def test_criterion_05_swisher():
     for p in (13, 17, 29, 37, 41):
-        outcome = check_a3_swisher(p)
+        outcome = check_swisher(p)
         assert outcome.status == "pass", p
         assert outcome.modulus == p**5
     report(5, "the p = 1 mod 4 branch of a3 holds mod p^5 at p in {13, 17, 29, 37, 41}")

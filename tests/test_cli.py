@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from supercong import cli
+from supercong import cli, verifier
 from supercong.verifier import DEFAULT_CHECKS, Report
 
 
@@ -46,6 +46,34 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             cli.main(["verify", "--checks", "nope"])
         assert info.value.code == 2
+
+
+class TestCheckThatRaises:
+    ARGV = ("verify", "--checks", "a3", "--pmin", "3", "--pmax", "13", "--no-timing")
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_is_a_fail_row_on_any_worker_count(self, capsys, monkeypatch, error):
+        code, clean, _ = run_cli(capsys, *self.ARGV)
+        assert code == 0
+
+        def broken(x, p, k):
+            raise error("boom")
+
+        monkeypatch.setattr(verifier, "gamma_p", broken)
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, err = run_cli(capsys, *self.ARGV, "--workers", workers)
+            assert code == 1 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0])
+        assert report["summary"] == {"pass": 3, "fail": 2, "skipped": 0}
+        for row, before in zip(report["outcomes"], json.loads(clean)["outcomes"], strict=True):
+            if row["p"] % 4 == 1:  # only that branch calls Gamma_p
+                assert row["status"] == "fail" and row["note"] == f"{error.__name__}: boom"
+                assert row["lhs"] is row["rhs"] is row["modulus"] is None
+            else:
+                assert row == before
 
 
 class TestOtherCommands:

@@ -1,8 +1,8 @@
 import pytest
 
 from dense_eta import IntSeries, dense_f_coefficients, eta_factor_series
-from supercong import cli
-from supercong.eta import TABLE_MAX_BOUND, OutOfRange, a_p, f_coefficients
+from supercong import cli, eta
+from supercong.eta import MIN_TABLE_BOUND, TABLE_MAX_BOUND, a_p, f_coefficients
 from supercong.exact import TooLarge
 
 
@@ -83,11 +83,24 @@ class TestCoefficients:
         assert coeffs[21] == coeffs[3] * coeffs[7]
 
     def test_lookup(self):
-        assert a_p(3, 50) == -4
-        assert a_p(5, 50) == -2
-        assert a_p(7, 50) == 24
-        with pytest.raises(OutOfRange):
-            a_p(101, 50)
+        assert a_p(3) == -4
+        assert a_p(5) == -2
+        assert a_p(7) == 24
+
+    @pytest.mark.parametrize("p", [1021, 1031, 2039, 2053])
+    def test_lookup_on_both_sides_of_a_table_size(self, p):
+        assert a_p(p) == f_coefficients(p)[p]
+
+    def test_lookup_tables_are_powers_of_two(self, monkeypatch):
+        sizes = []
+        table = eta.f_coefficients
+        monkeypatch.setattr(eta, "f_coefficients", lambda bound: sizes.append(bound) or table(bound))
+        for p in (3, 1021, 1024, 1031, 2053, 4099):
+            a_p(p)
+        assert sizes == [1024, 1024, 1024, 2048, 4096, 8192]
+        # the cache holds every size from MIN_TABLE_BOUND to TABLE_MAX_BOUND
+        count = (TABLE_MAX_BOUND // MIN_TABLE_BOUND).bit_length()
+        assert table.cache_parameters()["maxsize"] == count == 10
 
 
 class TestAgainstDenseOracle:

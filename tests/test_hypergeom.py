@@ -116,7 +116,7 @@ class TestConcreteSums:
         assert vp(value, 5) >= 0
         assert thm1_rhs(5, 3) == reduce_mod(value, 5, 3)
         # cross-module oracle: congruent to a(5) = -2 mod 5^3
-        assert thm1_rhs(5, 3) == reduce_mod(a_p(5, 30), 5, 3)
+        assert thm1_rhs(5, 3) == reduce_mod(a_p(5), 5, 3)
 
     def test_thm1_rhs_zero_truncation_is_p(self):
         assert p_times_constant_term(5) == 5

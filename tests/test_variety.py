@@ -3,7 +3,6 @@ import pytest
 from supercong.variety import (
     TooLarge,
     brute_force_N,
-    check_trace_relation,
     count_N,
     fiber_counts,
     legendre,
@@ -68,15 +67,3 @@ class TestCountN:
         with pytest.raises(TooLarge):
             brute_force_N(17)
 
-
-class TestTraceRelation:
-    def test_hand_values(self):
-        assert 27 - 18 - 7 - 6 == -4
-        assert check_trace_relation(3, -4)
-        assert 125 - 50 - 7 - 70 == -2
-        assert check_trace_relation(5, -2)
-        assert 343 - 98 - 7 - 214 == 24
-        assert check_trace_relation(7, 24)
-
-    def test_rejects_wrong_coefficient(self):
-        assert not check_trace_relation(3, 4)

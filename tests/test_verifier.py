@@ -5,7 +5,15 @@ import pytest
 
 from supercong import verifier
 from supercong.eta import TABLE_MAX_BOUND
-from supercong.exact import TRACE_I, TRACE_OMEGA, ConjugatePair, pochhammer, reduce_mod, vp
+from supercong.exact import (
+    TRACE_I,
+    TRACE_OMEGA,
+    ConjugatePair,
+    ResidueInt,
+    pochhammer,
+    reduce_mod,
+    vp,
+)
 from supercong.variety import CONV_MAX_P
 from supercong.verifier import (
     CheckId,
@@ -15,14 +23,14 @@ from supercong.verifier import (
     check_a1,
     check_a2,
     check_a3,
-    check_a3_swisher,
     check_a4,
-    check_b1_identity,
+    check_b1,
     check_b4,
     check_b6,
-    check_c1_identity,
-    check_c3_identity,
+    check_c1,
+    check_c3,
     check_c5,
+    check_swisher,
     check_trace,
     check_wolstenholme,
     emit_report,
@@ -70,9 +78,9 @@ class TestIndividualChecks:
         assert check_a4(11).status == "pass"
 
     def test_swisher_skip_and_pass(self):
-        assert check_a3_swisher(7).status == "skipped"
-        assert check_a3_swisher(53).status == "skipped"  # over the cost cap
-        assert check_a3_swisher(13).status == "pass"
+        assert check_swisher(7).status == "skipped"
+        assert check_swisher(53).status == "skipped"  # over the cost cap
+        assert check_swisher(13).status == "pass"
 
     def test_b4_b6(self):
         assert check_b4(3).status == "skipped"
@@ -109,11 +117,31 @@ class TestIndividualChecks:
         assert outcome.status == "pass"
         assert "a(p)=24" in outcome.note and "N(p)=214" in outcome.note
 
+    def test_trace_hand_values(self):
+        # a(p) = p^3 - 2p^2 - 7 - N(p): 27 - 18 - 7 - 6, 125 - 50 - 7 - 70, 343 - 98 - 7 - 214
+        for p, coeff, n_count in ((3, -4, 6), (5, -2, 70), (7, 24, 214)):
+            assert p**3 - 2 * p**2 - 7 - n_count == coeff
+            outcome = check_trace(p)
+            assert outcome.status == "pass"
+            assert outcome.note == f"a(p)={coeff} N(p)={n_count}"
+
+    def test_trace_rejects_wrong_coefficient(self, monkeypatch):
+        real = verifier.a_p
+        monkeypatch.setattr(verifier, "a_p", lambda p: real(p) + 1)
+        outcome = check_trace(3)
+        assert outcome.status == "fail"
+        assert outcome.note == "a(p)=-3 N(p)=6"
+
+    @pytest.mark.parametrize("check", [check_a1, check_a2, check_trace])
+    def test_eta_checks_above_a_thousand(self, check):
+        # a direct call above p = 1000 needs no table setting: a_p sizes the table from p
+        assert check(1009).status == "pass"
+
     def test_identity_checks(self):
-        assert check_b1_identity(7).status == "pass"
-        assert check_c3_identity(7).status == "pass"
-        assert check_c3_identity(13).status == "skipped"
-        outcome = check_c1_identity(2, F(1, 3))
+        assert check_b1(7).status == "pass"
+        assert check_c3(7).status == "pass"
+        assert check_c3(13).status == "skipped"
+        outcome = check_c1(2, F(1, 3))
         assert outcome.status == "pass"
         assert outcome.p == 2 and "y=1/3" in outcome.note
 
@@ -161,6 +189,27 @@ class TestRunSuite:
         assert default_workers() == 3
         monkeypatch.delenv("SUPERCONG_WORKERS")
         assert default_workers() == 1
+
+
+class TestDispatch:
+    def test_every_check_has_its_function(self):
+        for check in CheckId:
+            assert callable(getattr(verifier, f"check_{check.value}")), check
+
+    def test_check_is_looked_up_when_the_task_runs(self, monkeypatch):
+        stub = CheckOutcome(CheckId.A1, 3, "pass", note="stub")
+        monkeypatch.setattr(verifier, "check_a1", lambda p: stub)
+        report = run_suite(3, 3, {CheckId.A1}, workers=1)
+        assert report.outcomes == (stub,)
+
+    def test_c1_failure_keeps_its_y(self, monkeypatch):
+        def broken(n, y):
+            raise ZeroDivisionError("pole")
+
+        monkeypatch.setattr(verifier, "whipple_c1_check", broken)
+        outcome = verifier._run_task((CheckId.C1_IDENTITY, (2, F(1, 3))))
+        assert (outcome.p, outcome.status) == (2, "fail")
+        assert outcome.note == "y=1/3 ZeroDivisionError: pole"
 
 
 class TestReports:
@@ -291,15 +340,26 @@ class TestCostCaps:
         assert TABLE_MAX_BOUND == CONV_MAX_P == 1 << 19 < FIRST_PRIME_OVER_CAPS
 
     def test_trace_over_the_count_cap_is_skipped(self, no_work):
-        outcome = check_trace(FIRST_PRIME_OVER_CAPS, FIRST_PRIME_OVER_CAPS)
+        outcome = check_trace(FIRST_PRIME_OVER_CAPS)
         assert outcome.status == "skipped"
         assert outcome.note == f"cost cap: p <= {CONV_MAX_P} for the int64 point count"
 
-    @pytest.mark.parametrize("check", [check_a1, check_a2, check_trace])
+    @pytest.mark.parametrize("check", [check_a1, check_a2])
     def test_eta_bound_over_the_table_cap_is_skipped(self, no_work, check):
-        outcome = check(7, TABLE_MAX_BOUND + 1)
+        # p needs a table of bound 2^20; the trace check meets its count cap first
+        outcome = check(FIRST_PRIME_OVER_CAPS)
         assert outcome.status == "skipped"
         assert outcome.note == f"cost cap: eta bound <= {TABLE_MAX_BOUND} for the int64 table"
+
+    def test_row_does_not_depend_on_the_window(self, monkeypatch):
+        # the (A1, 2^19 - 1) row is decided from p alone, whatever else the sweep holds
+        monkeypatch.setattr(verifier, "a_p", lambda p: 0)
+        monkeypatch.setattr(verifier, "kilbourn_lhs", lambda p, k: ResidueInt(0, p, k))
+        p = (1 << 19) - 1
+        alone = run_suite(p, p, {CheckId.A1}, workers=1)
+        wider = run_suite(p, FIRST_PRIME_OVER_CAPS, {CheckId.A1}, workers=1)
+        assert alone.outcomes[0] == wider.outcomes[0]
+        assert alone.outcomes[0].status == "pass"
 
     def test_sweep_above_the_caps_finishes(self, no_work):
         p = FIRST_PRIME_OVER_CAPS
