@@ -11,6 +11,7 @@ from .exact import (
     half_harmonic2,
     pochhammer,
     pochhammer_mod,
+    pochhammer_pair,
     reduce_mod,
     vp,
 )
@@ -27,6 +28,7 @@ from .hypergeom import (
     c3_rhs_closed,
     kilbourn_lhs,
     kilbourn_spec,
+    pfq_pair,
     pfq_residue,
     pfq_truncated,
     pfq_truncated_reference,

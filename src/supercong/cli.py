@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .eta import f_coefficients
-from .exact import NegativeValuation
+from .exact import NegativeValuation, fraction_str
 from .hypergeom import (
     SeriesSpec,
     ZeroDenominatorPochhammer,
@@ -155,8 +155,8 @@ def _cmd_identity(args) -> int:
         if args.p is None:
             raise ConfigError(f"identity {args.which} needs --p")
         outcome = bailey_b1_check(args.p) if args.which == "b1" else c3_check(args.p)
-    sys.stdout.write(f"lhs   = {outcome.lhs}\n")
-    sys.stdout.write(f"rhs   = {outcome.rhs}\n")
+    sys.stdout.write(f"lhs   = {fraction_str(outcome.lhs)}\n")
+    sys.stdout.write(f"rhs   = {fraction_str(outcome.rhs)}\n")
     sys.stdout.write(f"equal = {outcome.equal}\n")
     return 0 if outcome.equal else 1
 
@@ -167,7 +167,7 @@ def _cmd_hyper(args) -> int:
         value = pfq_truncated(spec)
     except ZeroDenominatorPochhammer as exc:
         raise ConfigError(str(exc)) from None
-    sys.stdout.write(f"{value}\n")
+    sys.stdout.write(f"{fraction_str(value)}\n")
     return 0
 
 

@@ -8,18 +8,20 @@ product of rational quadratics, so a ``ConjugatePair`` stands for both and
 no cyclotomic arithmetic is needed.  Congruence between rationals is
 valuation-based: x = y (mod p^k) means vp(x - y) >= k.
 
-Two paths compute a Pochhammer symbol or the half harmonic sum.  The fast
-path, which the congruence checks use, works in Z/p^k throughout: each factor
-is cleared of its denominator to an integer (``cleared_factor``) and only
-residues are multiplied (``pochhammer_mod``, ``half_harmonic2``).  The exact
-``pochhammer`` over Q serves the identity checks and the tests, where it is
-the oracle for the fast path.
+Every Pochhammer symbol is computed from its factors cleared of their
+denominator to integers (``cleared_factor``).  Over Q, ``pochhammer_pair``
+multiplies them into one unreduced (numerator, denominator) pair; the
+identity checks use the pair, and ``pochhammer`` reduces it to a
+``Fraction``.  The congruence checks work in Z/p^k throughout and multiply
+only residues (``pochhammer_mod``, ``half_harmonic2``); there the exact
+symbol is the test oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -154,15 +156,19 @@ class ResidueInt:
         return f"{self.value} (mod {self.p}^{self.k})"
 
 
+def fraction_str(x: Fraction) -> str:
+    """str(x), for a rational of any size.
+
+    str() of an int refuses more digits than sys.get_int_max_str_digits()
+    (4300 by default); Decimal converts an int exactly and has no such limit.
+    """
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
 def pochhammer(a: RationalLike, n: int) -> Fraction:
     """Rising factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1.  Exact."""
-    if n < 0:
-        raise ValueError("pochhammer index must be >= 0")
-    out = Fraction(1)
-    a = Fraction(a)
-    for j in range(n):
-        out *= a + j
-    return out
+    return Fraction(*pochhammer_pair(a, n))
 
 
 TRACE_I = 0  # i + (-i)
@@ -198,12 +204,7 @@ class ConjugatePair:
 
     def pochhammer(self, n: int) -> Fraction:
         """(u + y*zeta)_n (u + y*zeta')_n."""
-        if n < 0:
-            raise ValueError("pochhammer index must be >= 0")
-        out = Fraction(1)
-        for k in range(n):
-            out *= self.factor(k)
-        return out
+        return Fraction(*pochhammer_pair(self, n))
 
 
 def cleared_factor(param: Union[RationalLike, ConjugatePair]) -> tuple[tuple[int, int, int], int]:
@@ -217,6 +218,14 @@ def cleared_factor(param: Union[RationalLike, ConjugatePair]) -> tuple[tuple[int
         return (int(param.constant * den), int(param.linear * den), den), den
     param = Fraction(param)
     return (param.numerator, param.denominator, 0), param.denominator
+
+
+def pochhammer_pair(param: Union[RationalLike, ConjugatePair], n: int) -> tuple[int, int]:
+    """Integers (num, den), not reduced, with num / den = (param)_n: the cleared factors over d^n."""
+    if n < 0:
+        raise ValueError("pochhammer index must be >= 0")
+    (c0, c1, c2), den = cleared_factor(param)
+    return math.prod(c0 + j * (c1 + j * c2) for j in range(n)), den**n
 
 
 def pochhammer_mod(

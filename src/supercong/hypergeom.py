@@ -6,18 +6,21 @@ a rational or a ``ConjugatePair``, which stands for two Galois-conjugate
 parameters in Q(i) or Q(omega) and contributes their joint rational
 quadratic factor, so every sum stays in Q.
 
-There are two evaluators.  ``pfq_truncated`` sums the recurrence exactly in
-``Fraction``s; it serves the exact identities (b1, c1, c3), ``supercong
-hyper`` and the tests, with ``pfq_truncated_reference`` (from Pochhammer
-symbols) as its own oracle.  ``pfq_residue`` is the fast path for the
-congruence checks: it runs the same recurrence over integers, carrying each
-term as p^v times a unit mod p^(k+guard), so no O(p^2)-bit denominator is
-ever formed; ``pfq_truncated`` reduced mod p^k is its test oracle.  On top
-of the evaluators sit the concrete sums and identity instances the verifier
-checks: Kilbourn's 4F3, the Van Hamme 6F5(-1), Whipple's terminating 6F5
-with its fully rational closed form, Bailey's 4F3 transformation specialized
-at cube-root-of-unity parameters, and the fourth-root specialization of the
-Whipple closed form.
+There are two evaluators.  ``pfq_pair`` sums a series exactly by binary
+splitting: the step ratio is cleared to integers P(j) / Q(j), and a product
+tree over the steps gives the sum as one unreduced integer pair, with no gcd
+per term.  It serves the exact identities (b1, c1, c3), which compare their
+two sides by cross-multiplication, and ``pfq_truncated``, the reduced
+``Fraction`` for ``supercong hyper`` and the tests; ``pfq_truncated_reference``
+(from Pochhammer symbols, term by term) is its oracle.  ``pfq_residue`` is
+the fast path for the congruence checks: it runs the same recurrence over
+integers, carrying each term as p^v times a unit mod p^(k+guard), so no
+O(p^2)-bit denominator is ever formed; ``pfq_truncated`` reduced mod p^k is
+its test oracle.  On top of the evaluators sit the concrete sums and
+identity instances the verifier checks: Kilbourn's 4F3, the Van Hamme
+6F5(-1), Whipple's terminating 6F5 with its fully rational closed form,
+Bailey's 4F3 transformation specialized at cube-root-of-unity parameters,
+and the fourth-root specialization of the Whipple closed form.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .exact import (
     cleared_factor,
     pochhammer,
     pochhammer_mod,
+    pochhammer_pair,
     reduce_mod,
 )
 
@@ -84,35 +88,92 @@ def _as_param(x) -> Fraction | ConjugatePair:
     return x if isinstance(x, ConjugatePair) else Fraction(x)
 
 
-def _factor(param: Fraction | ConjugatePair, k: int) -> Fraction:
-    """The factor param contributes to the Pochhammer product at offset k."""
-    if isinstance(param, ConjugatePair):
-        return param.factor(k)
-    return param + k
-
-
 def _rising(param: Fraction | ConjugatePair, n: int) -> Fraction:
     if isinstance(param, ConjugatePair):
         return param.pochhammer(n)
     return pochhammer(param, n)
 
 
+def _cleared(params) -> tuple[list[tuple[int, int, int]], int]:
+    """Each parameter's integer factor coefficients (``cleared_factor``) and the product of the d's."""
+    coeffs, den = [], 1
+    for param in params:
+        c, d = cleared_factor(param)
+        coeffs.append(c)
+        den *= d
+    return coeffs, den
+
+
+# a range of at most this many steps is summed by the recurrence itself
+_LEAF_STEPS = 16
+
+
+def _step_factors(spec: SeriesSpec) -> tuple[list[int], list[int]]:
+    """Integers P(j), Q(j) with term j+1 = term j * P(j) / Q(j), for each step j to a nonzero term.
+
+    P(j) = z_num * bottom_den * prod top_c(j) and
+    Q(j) = z_den * top_den * (j + 1) * prod bottom_c(j), from the cleared
+    factors.  The steps stop at a zero argument or the first vanishing top
+    factor, but every bottom factor up to the truncation index is still
+    tested: the first that vanishes, in j and then in parameter order,
+    raises ZeroDenominatorPochhammer.
+    """
+    top, top_den = _cleared(spec.top)
+    bottom, bottom_den = _cleared(spec.bottom)
+    p_scale = spec.argument.numerator * bottom_den
+    q_scale = spec.argument.denominator * top_den
+    ps, qs = [], []
+    live = p_scale != 0
+    for j in range(spec.terms):
+        q = q_scale * (j + 1)
+        for index, (c0, c1, c2) in enumerate(bottom):
+            x = c0 + j * (c1 + j * c2)
+            if not x:
+                raise ZeroDenominatorPochhammer(j + 1, index)
+            q *= x
+        if live:
+            p = p_scale
+            for c0, c1, c2 in top:
+                p *= c0 + j * (c1 + j * c2)
+            live = p != 0
+            if live:
+                ps.append(p)
+                qs.append(q)
+    return ps, qs
+
+
+def _split(ps: list[int], qs: list[int], a: int, c: int) -> tuple[int, int, int]:
+    """(P, Q, T) of the steps a..c-1: P and Q are the products of ps and qs, and
+    T / Q = sum over j in a..c-1 of prod_{i=a}^{j} ps[i] / qs[i]."""
+    if c - a <= _LEAF_STEPS:
+        P, Q, T = 1, 1, 0
+        for j in range(a, c):
+            P *= ps[j]
+            T = T * qs[j] + P
+            Q *= qs[j]
+        return P, Q, T
+    b = (a + c) // 2
+    P1, Q1, T1 = _split(ps, qs, a, b)
+    P2, Q2, T2 = _split(ps, qs, b, c)
+    return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+
+def pfq_pair(spec: SeriesSpec) -> tuple[int, int]:
+    """Integers (num, den), not reduced, with num / den = pfq_truncated(spec).
+
+    Binary splitting (Haible-Papanikolaou): a product tree over the integer
+    step factors P(j), Q(j) of ``_step_factors`` gives the whole sum as
+    1 + T / Q with no gcd, so its cost is a few multiplications of the
+    final size instead of one reduced ``Fraction`` per term.
+    """
+    ps, qs = _step_factors(spec)
+    _, Q, T = _split(ps, qs, 0, len(ps))
+    return Q + T, Q
+
+
 def pfq_truncated(spec: SeriesSpec) -> Fraction:
     """Exact sum_{k=0}^{n} prod(top_i)_k / (prod(bottom_j)_k * k!) * z^k."""
-    total = term = Fraction(1)
-    for k in range(spec.terms):
-        num = Fraction(1)
-        for a in spec.top:
-            num *= _factor(a, k)
-        den = Fraction(1)
-        for j, b in enumerate(spec.bottom):
-            factor = _factor(b, k)
-            if not factor:
-                raise ZeroDenominatorPochhammer(k + 1, j)
-            den *= factor
-        term = term * num / den * spec.argument / (k + 1)
-        total += term
-    return total
+    return Fraction(*pfq_pair(spec))
 
 
 def pfq_truncated_reference(spec: SeriesSpec) -> Fraction:
@@ -130,16 +191,6 @@ def pfq_truncated_reference(spec: SeriesSpec) -> Fraction:
             den *= factor
         total += num / den * spec.argument**k
     return total
-
-
-def _cleared(params) -> tuple[list[tuple[int, int, int]], int]:
-    """Each parameter's integer factor coefficients (``cleared_factor``) and the product of the d's."""
-    coeffs, den = [], 1
-    for param in params:
-        c, d = cleared_factor(param)
-        coeffs.append(c)
-        den *= d
-    return coeffs, den
 
 
 def _p_split(x: int, p: int) -> tuple[int, int]:
@@ -280,11 +331,38 @@ def vanhamme_lhs(p: int, k: int) -> ResidueInt:
 
 @dataclass(frozen=True)
 class IdentityOutcome:
-    """Both exact sides of an identity check, so failures are diagnosable."""
+    """Both exact sides of an identity check, each an integer pair (num, den) not reduced.
 
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
+    ``equal`` compares the pairs by cross-multiplication.  ``lhs`` and
+    ``rhs`` reduce a side to a ``Fraction`` only when read, so a passing
+    check does no gcd on its sides.
+    """
+
+    lhs_pair: tuple[int, int]
+    rhs_pair: tuple[int, int]
+
+    @property
+    def equal(self) -> bool:
+        (ln, ld), (rn, rd) = self.lhs_pair, self.rhs_pair
+        return ln * rd == rn * ld
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(*self.lhs_pair)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(*self.rhs_pair)
+
+
+def _product(*pairs: tuple[int, int]) -> tuple[int, int]:
+    """The product of rationals given as (num, den) pairs, as one pair."""
+    return math.prod(n for n, _ in pairs), math.prod(d for _, d in pairs)
+
+
+def _inverse(pair: tuple[int, int]) -> tuple[int, int]:
+    num, den = pair
+    return den, num
 
 
 def whipple_c1_check(n: int, y) -> IdentityOutcome:
@@ -297,19 +375,23 @@ def whipple_c1_check(n: int, y) -> IdentityOutcome:
     if n < 0:
         raise ValueError("n must be >= 0")
     y = F(y)
-    bottom = (F(1, 4), 2 * n + F(5, 2), -2 * n - F(1, 2), 1 - y, 1 + y)
-    for j, b in enumerate(bottom):
-        for t in range(2 * n + 1):
-            if b + t == 0:
-                raise PoleParameter(f"bottom parameter {b} hits zero at offset {t}")
-    rhs_den = pochhammer((y - 1) / 2 - n, 2 * n + 2)
-    if rhs_den == 0:
-        raise PoleParameter(f"((y-1)/2 - n)_(2n+2) vanishes for y = {y}, n = {n}")
-
     top = (F(5, 4), F(1, 2), F(-2 * n - 1), F(2 * n + 2), F(1, 2) + y, F(1, 2) - y)
-    lhs = pfq_truncated(SeriesSpec(top, bottom, F(-1), 2 * n + 1))
-    rhs = -(4 * n + 3) * pochhammer(y / 2, n + 1) * pochhammer(y / 2 - n, n + 1) / rhs_den
-    return IdentityOutcome(lhs, rhs, lhs == rhs)
+    bottom = (F(1, 4), 2 * n + F(5, 2), -2 * n - F(1, 2), 1 - y, 1 + y)
+    try:
+        lhs = pfq_pair(SeriesSpec(top, bottom, F(-1), 2 * n + 1))
+    except ZeroDenominatorPochhammer as pole:
+        b, t = bottom[pole.param_index], pole.term_index - 1
+        raise PoleParameter(f"bottom parameter {b} hits zero at offset {t}") from None
+    rhs_den = pochhammer_pair((y - 1) / 2 - n, 2 * n + 2)
+    if rhs_den[0] == 0:
+        raise PoleParameter(f"((y-1)/2 - n)_(2n+2) vanishes for y = {y}, n = {n}")
+    rhs = _product(
+        (-(4 * n + 3), 1),
+        pochhammer_pair(y / 2, n + 1),
+        pochhammer_pair(y / 2 - n, n + 1),
+        _inverse(rhs_den),
+    )
+    return IdentityOutcome(lhs, rhs)
 
 
 def bailey_b1_check(p: int) -> IdentityOutcome:
@@ -329,10 +411,15 @@ def bailey_b1_check(p: int) -> IdentityOutcome:
     b_pair = ConjugatePair(F(1, 2), F(-p, 2), TRACE_OMEGA)
     d_pair = ConjugatePair(F(1), F(p, 2), TRACE_OMEGA)
     top = (F(1, 2), b_pair, F(1 - p, 2))
-    lhs = pfq_truncated(SeriesSpec(top, (d_pair, 1 + F(p, 2)), F(1), m))
-    prefactor = p * pochhammer(F(1, 2), m) * pochhammer(F(1 - p, 2), m) / d_pair.pochhammer(m)
-    rhs = prefactor * pfq_truncated(SeriesSpec(top, (F(1), F(3, 4), F(5, 4)), F(1), m))
-    return IdentityOutcome(lhs, rhs, lhs == rhs)
+    lhs = pfq_pair(SeriesSpec(top, (d_pair, 1 + F(p, 2)), F(1), m))
+    rhs = _product(
+        (p, 1),
+        pochhammer_pair(F(1, 2), m),
+        pochhammer_pair(F(1 - p, 2), m),
+        _inverse(pochhammer_pair(d_pair, m)),
+        pfq_pair(SeriesSpec(top, (F(1), F(3, 4), F(5, 4)), F(1), m)),
+    )
+    return IdentityOutcome(lhs, rhs)
 
 
 def _c3_closed_form(p: int) -> tuple[int, ConjugatePair, ConjugatePair]:
@@ -368,10 +455,10 @@ def c3_check(p: int) -> IdentityOutcome:
         raise ValueError("requires a prime p = 3 (mod 4), p >= 7")
     top = (F(5, 4), F(1, 2), F(1 - p, 2), F(1 + p, 2), ConjugatePair(F(1, 2), F(p, 2), TRACE_I))
     bottom = (F(1, 4), 1 - F(p, 2), 1 + F(p, 2), ConjugatePair(F(1), F(p, 2), TRACE_I))
-    lhs = pfq_truncated(SeriesSpec(top, bottom, F(-1), (p - 1) // 2))
+    lhs = pfq_pair(SeriesSpec(top, bottom, F(-1), (p - 1) // 2))
     q, num, den = _c3_closed_form(p)
-    rhs = -F(p**3, 16) * num.pochhammer(q - 1) / den.pochhammer(q)
-    return IdentityOutcome(lhs, rhs, lhs == rhs)
+    rhs = _product((-(p**3), 16), pochhammer_pair(num, q - 1), _inverse(pochhammer_pair(den, q)))
+    return IdentityOutcome(lhs, rhs)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +27,7 @@ from .exact import (
     TRACE_OMEGA,
     ConjugatePair,
     ResidueInt,
+    fraction_str,
     half_harmonic2,
     pochhammer_mod,
     reduce_mod,
@@ -126,7 +128,7 @@ def _residue_outcome(
 def _identity_outcome(check: CheckId, p: int, outcome, note: str = "") -> CheckOutcome:
     if outcome.equal:
         return CheckOutcome(check, p, "pass", note=note)
-    detail = f"lhs={outcome.lhs} rhs={outcome.rhs}"
+    detail = f"lhs={fraction_str(outcome.lhs)} rhs={fraction_str(outcome.rhs)}"
     return CheckOutcome(check, p, "fail", note=f"{note} {detail}".strip())
 
 
@@ -278,15 +280,23 @@ def check_c1(n: int, y) -> CheckOutcome:
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], by sieve."""
-    if hi < 2:
+    """All primes in [lo, hi], by a sieve of that window alone.
+
+    The base primes up to isqrt(hi) come from a small sieve of their own, so
+    time and memory are O(sqrt(hi) + (hi - lo)).
+    """
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    flags = bytearray([1]) * (hi + 1)
-    flags[0:2] = b"\x00\x00"
-    for q in range(2, int(hi**0.5) + 1):
-        if flags[q]:
-            flags[q * q :: q] = b"\x00" * len(flags[q * q :: q])
-    return [n for n in range(max(lo, 2), hi + 1) if flags[n]]
+    root = math.isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    window = bytearray([1]) * (hi - lo + 1)
+    for q in range(2, root + 1):
+        if base[q]:
+            base[q * q :: q] = bytes(len(base[q * q :: q]))
+            start = max(q * q, -(-lo // q) * q) - lo
+            window[start::q] = bytes(len(window[start::q]))
+    return [lo + i for i, prime in enumerate(window) if prime]
 
 
 def _run_task(task) -> CheckOutcome:

@@ -220,3 +220,18 @@ def test_criterion_14_series_checks_above_ten_thousand():
     assert failures == []
     report(14, f"a1, a2, b4, b6, wolstenholme and trace hold at all {len(primes)} primes "
                f"in 10000..10100 ({elapsed:.1f}s single-threaded)")
+
+
+def test_criterion_15_identities_above_two_thousand():
+    start = time.perf_counter()
+    primes = primes_between(2000, 2100)
+    c3_primes = [p for p in primes if p % 4 == 3]
+    failures = [p for p in primes if not bailey_b1_check(p).equal]
+    failures += [p for p in c3_primes if not c3_check(p).equal]
+    assert failures == []
+    window = time.perf_counter() - start
+    start = time.perf_counter()
+    assert bailey_b1_check(10007).equal and c3_check(10007).equal  # 10007 = 3 mod 4
+    elapsed = time.perf_counter() - start
+    report(15, f"b1 equal at all {len(primes)} primes and c3 at the {len(c3_primes)} primes "
+               f"= 3 mod 4 in 2000..2100 ({window:.1f}s), both at 10007 ({elapsed:.1f}s)")

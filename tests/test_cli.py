@@ -1,8 +1,11 @@
 import json
+from decimal import Decimal
+from fractions import Fraction as F
 
 import pytest
 
 from supercong import cli, verifier
+from supercong.hypergeom import SeriesSpec, pfq_truncated
 from supercong.verifier import DEFAULT_CHECKS, Report
 
 
@@ -122,6 +125,14 @@ class TestOtherCommands:
             "lhs   = 6249392/8873007", "rhs   = 6249392/8873007", "equal = True"
         ]
 
+    def test_identity_sides_of_any_size(self, capsys):
+        # at p = 2003 each side has more digits than str(int) converts by default (4300)
+        code, out, _ = run_cli(capsys, "identity", "--which", "b1", "--p", "2003")
+        assert code == 0
+        lhs, rhs, equal = out.splitlines()
+        assert lhs.startswith("lhs   = ") and rhs.startswith("rhs   = ")
+        assert lhs[8:] == rhs[8:] and len(lhs) > 4300 and equal == "equal = True"
+
     def test_identity_c1_missing_args(self, capsys):
         code, _, err = run_cli(capsys, "identity", "--which", "c1")
         assert code == 2
@@ -139,6 +150,14 @@ class TestOtherCommands:
         )
         assert code == 0
         assert out.strip() == "17/16"
+
+    def test_hyper_of_any_size(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "hyper", "--top", "1/3,2/7", "--bottom", "7/11", "--z", "5/13", "--terms", "1500"
+        )
+        assert code == 0 and len(out) > 4300
+        value = F(*(int(Decimal(part)) for part in out.strip().split("/")))
+        assert value == pfq_truncated(SeriesSpec((F(1, 3), F(2, 7)), (F(7, 11),), F(5, 13), 1500))
 
     def test_hyper_vanishing_bottom_pochhammer_is_usage_error(self, capsys):
         code, out, err = run_cli(

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from supercong.exact import (
     ResidueInt,
     congruent,
     cleared_factor,
+    fraction_str,
     half_harmonic2,
     is_prime,
     pochhammer,
@@ -37,6 +39,18 @@ class TestIsPrime:
 
     def test_rejects_non_int(self):
         assert not is_prime(7.0)
+
+
+class TestFractionStr:
+    @given(st.fractions())
+    def test_same_text_as_str(self, x):
+        assert fraction_str(x) == str(x)
+
+    def test_beyond_the_int_string_limit(self):
+        x = F(-(7**6000), 11**5000)
+        num, den = fraction_str(x).split("/")
+        assert num.startswith("-") and len(num) > 4300
+        assert F(int(Decimal(num)), int(Decimal(den))) == x
 
 
 class TestVp:

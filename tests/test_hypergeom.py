@@ -19,6 +19,7 @@ from supercong.exact import (
 )
 from supercong.hypergeom import (
     GuardExceeded,
+    IdentityOutcome,
     PoleParameter,
     SeriesSpec,
     ZeroDenominatorPochhammer,
@@ -38,6 +39,43 @@ from supercong.hypergeom import (
     whipple_c1_check,
 )
 from supercong.verifier import primes_between
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+conjugate_pairs = st.builds(
+    ConjugatePair,
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from([TRACE_I, TRACE_OMEGA]),
+)
+non_positive_integers = st.integers(-5, 0).map(F)
+
+
+def rational_params(min_size, max_size):
+    return st.lists(small_rationals, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def exact_cases(draw):
+    """Specs with rational and pair parameters of both traces, from 0 terms up, zero
+    arguments among them, and top and bottom factors that vanish (a pair vanishes when y = 0)."""
+    vanishing_pairs = st.builds(ConjugatePair, non_positive_integers, st.just(0),
+                                st.sampled_from([TRACE_I, TRACE_OMEGA]))
+    top = draw(rational_params(0, 3)) + draw(st.lists(conjugate_pairs, max_size=2))
+    top += draw(st.lists(non_positive_integers, max_size=1))
+    bottom = draw(rational_params(0, 2)) + draw(st.lists(conjugate_pairs, max_size=2))
+    bottom += draw(st.lists(st.one_of(non_positive_integers, vanishing_pairs), max_size=1))
+    argument = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    terms = draw(st.integers(0, 40))
+    return SeriesSpec(tuple(draw(st.permutations(top))), tuple(draw(st.permutations(bottom))),
+                      argument, terms)
+
+
+def outcome_of(evaluate, spec):
+    try:
+        return evaluate(spec)
+    except ZeroDenominatorPochhammer as info:
+        return info.term_index, info.param_index
 
 
 class TestPfqTruncated:
@@ -65,6 +103,19 @@ class TestPfqTruncated:
             with pytest.raises(ZeroDenominatorPochhammer) as info:
                 evaluate(spec)
             assert (info.value.term_index, info.value.param_index) == (2, 1)
+        # a vanishing top factor (-1 + 1) or a zero argument ends the terms, not the test
+        for argument in (F(1), F(0)):
+            spec = SeriesSpec((F(-1),), (F(2), F(-3)), argument, 5)
+            with pytest.raises(ZeroDenominatorPochhammer) as info:
+                pfq_truncated(spec)
+            assert (info.value.term_index, info.value.param_index) == (4, 1)
+
+    @given(exact_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, spec):
+        # the reference raises at the first vanishing (b)_k, which is the first
+        # vanishing factor in step order, so the indices must agree too
+        assert outcome_of(pfq_truncated, spec) == outcome_of(pfq_truncated_reference, spec)
 
     def test_recurrence_matches_reference_rational(self):
         rng = random.Random(3)
@@ -159,26 +210,14 @@ class TestResidueSeriesAgainstOracle:
             assert vanhamme_lhs(p, k) == reduce_mod(exact, p, k)
 
 
-def rational_params(min_size, max_size):
-    return st.lists(
-        st.fractions(min_value=-6, max_value=6, max_denominator=12), min_size=min_size, max_size=max_size
-    )
-
-
 @st.composite
 def residue_cases(draw):
     """A spec with rational and conjugate-pair parameters of both traces, and a prime."""
     p = draw(st.sampled_from([3, 5, 7, 11, 13]))
-    pairs = st.builds(
-        ConjugatePair,
-        st.fractions(min_value=-4, max_value=4, max_denominator=6),
-        st.fractions(min_value=-4, max_value=4, max_denominator=6),
-        st.sampled_from([TRACE_I, TRACE_OMEGA]),
-    )
     # bottom parameters n/d with p | n + jd for some j: factors divisible by p
     p_hits = st.builds(lambda j, d: F(p - j * d, d), st.integers(0, 4), st.integers(1, 4))
-    top = draw(rational_params(0, 4)) + draw(st.lists(pairs, max_size=2))
-    bottom = draw(rational_params(0, 2)) + draw(st.lists(pairs, max_size=1))
+    top = draw(rational_params(0, 4)) + draw(st.lists(conjugate_pairs, max_size=2))
+    bottom = draw(rational_params(0, 2)) + draw(st.lists(conjugate_pairs, max_size=1))
     bottom += draw(st.lists(p_hits, max_size=2))
     argument = draw(st.fractions(min_value=-3, max_value=3, max_denominator=p + 1))
     terms = draw(st.integers(0, 3 * p))
@@ -337,6 +376,28 @@ class TestC3:
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):
             c3_check(13)
+
+
+class TestIdentityOutcome:
+    @given(small_rationals, small_rationals, st.integers(-9, 9).filter(bool),
+           st.integers(-9, 9).filter(bool))
+    def test_equal_is_equality_of_the_reduced_sides(self, x, y, g, h):
+        # pairs scaled by g and h: unreduced, and with a negative denominator
+        outcome = IdentityOutcome((x.numerator * g, x.denominator * g), (y.numerator * h, y.denominator * h))
+        assert (outcome.lhs, outcome.rhs) == (x, y)
+        assert outcome.equal == (x == y)
+        assert IdentityOutcome((x.numerator * g, x.denominator * g), (x.numerator, x.denominator)).equal
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_equal_agrees_with_the_qzeta_sides(self, p):
+        outcome = bailey_b1_check(p)
+        lhs, rhs = qzeta.b1_sides(p)
+        assert outcome.equal == (lhs == rhs) == (outcome.lhs == outcome.rhs) == True  # noqa: E712
+        # the printed (1-w)/2 reading: its rhs has a nonzero omega part, so no
+        # rational equals it; its rational part stands in as the rhs pair
+        lhs, rhs = qzeta.b1_sides(p, printed=True)
+        printed = IdentityOutcome(outcome.lhs_pair, (3 * rhs.re.numerator, 3 * rhs.re.denominator))
+        assert printed.equal == (lhs == rhs) == (printed.lhs == printed.rhs) == False  # noqa: E712
 
 
 class TestRamanujanFloat:

@@ -1,15 +1,17 @@
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
-from supercong import verifier
+from supercong import hypergeom, verifier
 from supercong.eta import TABLE_MAX_BOUND
 from supercong.exact import (
     TRACE_I,
     TRACE_OMEGA,
     ConjugatePair,
     ResidueInt,
+    is_prime,
     pochhammer,
     reduce_mod,
     vp,
@@ -46,6 +48,14 @@ class TestPrimesBetween:
         assert primes_between(2, 2) == [2]
         assert primes_between(24, 28) == []
         assert len(primes_between(2, 1000)) == 168
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-7, 60), (0, 2), (2, 3), (0, 1), (-5, -1), (9, 8), (100, 50), (17, 17),
+        (49, 200), (121, 400), (961, 1200),  # windows that start at q^2 of a base prime q
+        (100, 121), (99999800, 100000000),
+    ])
+    def test_window_matches_is_prime(self, lo, hi):
+        assert primes_between(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 class TestIndividualChecks:
@@ -144,6 +154,22 @@ class TestIndividualChecks:
         outcome = check_c1(2, F(1, 3))
         assert outcome.status == "pass"
         assert outcome.p == 2 and "y=1/3" in outcome.note
+
+    def test_identity_failure_note_of_any_size(self, monkeypatch):
+        # each b1 side at p = 2003 has more digits than str(int) converts by default
+        real = hypergeom.bailey_b1_check(2003)
+        num, den = real.lhs_pair
+        wrong = hypergeom.IdentityOutcome(real.lhs_pair, (num + den, den))
+        monkeypatch.setattr(verifier, "bailey_b1_check", lambda p: wrong)
+        outcome = check_b1(2003)
+        assert outcome.status == "fail"
+        lhs, rhs = outcome.note.split(" ")
+        assert lhs.startswith("lhs=") and rhs.startswith("rhs=") and len(lhs) > 4300
+
+        def parse(text):
+            return F(*(int(Decimal(part)) for part in text.split("/")))
+
+        assert (parse(lhs[4:]), parse(rhs[4:])) == (real.lhs, real.lhs + 1)
 
 
 class TestRunSuite:
