@@ -26,7 +26,7 @@ and the fourth-root specialization of the Whipple closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
@@ -172,7 +172,7 @@ def pfq_pair(spec: SeriesSpec) -> tuple[int, int]:
 
 
 def pfq_truncated(spec: SeriesSpec) -> Fraction:
-    """Exact sum_{k=0}^{n} prod(top_i)_k / (prod(bottom_j)_k * k!) * z^k."""
+    """Exact sum_{k=0}^{n} prod(top_i)_k / (prod(bottom_j)_k * k!) * z^k: ``pfq_pair``, reduced once."""
     return Fraction(*pfq_pair(spec))
 
 
@@ -340,11 +340,11 @@ class IdentityOutcome:
 
     lhs_pair: tuple[int, int]
     rhs_pair: tuple[int, int]
+    equal: bool = field(init=False)
 
-    @property
-    def equal(self) -> bool:
+    def __post_init__(self) -> None:
         (ln, ld), (rn, rd) = self.lhs_pair, self.rhs_pair
-        return ln * rd == rn * ld
+        object.__setattr__(self, "equal", ln * rd == rn * ld)
 
     @property
     def lhs(self) -> Fraction:
