@@ -392,12 +392,12 @@ class TestIdentityOutcome:
     def test_equal_agrees_with_the_qzeta_sides(self, p):
         outcome = bailey_b1_check(p)
         lhs, rhs = qzeta.b1_sides(p)
-        assert outcome.equal == (lhs == rhs) == (outcome.lhs == outcome.rhs) == True  # noqa: E712
+        assert outcome.equal and lhs == rhs and outcome.lhs == outcome.rhs
         # the printed (1-w)/2 reading: its rhs has a nonzero omega part, so no
         # rational equals it; its rational part stands in as the rhs pair
         lhs, rhs = qzeta.b1_sides(p, printed=True)
         printed = IdentityOutcome(outcome.lhs_pair, (3 * rhs.re.numerator, 3 * rhs.re.denominator))
-        assert printed.equal == (lhs == rhs) == (printed.lhs == printed.rhs) == False  # noqa: E712
+        assert not printed.equal and lhs != rhs and printed.lhs != printed.rhs
 
 
 class TestRamanujanFloat:
