@@ -26,10 +26,12 @@ from .hypergeom import (
     bailey_b1_check,
     c3_check,
     c3_rhs_closed,
+    half_harmonic2_spec,
     kilbourn_lhs,
     kilbourn_spec,
     pfq_pair,
     pfq_residue,
+    pfq_residues,
     pfq_truncated,
     pfq_truncated_reference,
     ramanujan_float_check,

@@ -220,12 +220,26 @@ def cleared_factor(param: Union[RationalLike, ConjugatePair]) -> tuple[tuple[int
     return (param.numerator, param.denominator, 0), param.denominator
 
 
+def product_tree(factors: list[int]) -> int:
+    """The product of the ints, multiplied pairwise level by level.
+
+    Operands of each product have about the same size, so the cost is
+    quasi-linear in the size of the result, where a left-to-right
+    ``math.prod`` is quadratic.
+    """
+    if not factors:
+        return 1
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
 def pochhammer_pair(param: Union[RationalLike, ConjugatePair], n: int) -> tuple[int, int]:
     """Integers (num, den), not reduced, with num / den = (param)_n: the cleared factors over d^n."""
     if n < 0:
         raise ValueError("pochhammer index must be >= 0")
     (c0, c1, c2), den = cleared_factor(param)
-    return math.prod(c0 + j * (c1 + j * c2) for j in range(n)), den**n
+    return product_tree([c0 + j * (c1 + j * c2) for j in range(n)]), den**n
 
 
 def pochhammer_mod(

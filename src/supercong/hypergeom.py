@@ -6,21 +6,25 @@ a rational or a ``ConjugatePair``, which stands for two Galois-conjugate
 parameters in Q(i) or Q(omega) and contributes their joint rational
 quadratic factor, so every sum stays in Q.
 
-There are two evaluators.  ``pfq_pair`` sums a series exactly by binary
+There are three evaluators.  ``pfq_pair`` sums a series exactly by binary
 splitting: the step ratio is cleared to integers P(j) / Q(j), and a product
 tree over the steps gives the sum as one unreduced integer pair, with no gcd
 per term.  It serves the exact identities (b1, c1, c3), which compare their
 two sides by cross-multiplication, and ``pfq_truncated``, the reduced
 ``Fraction`` for ``supercong hyper`` and the tests; ``pfq_truncated_reference``
 (from Pochhammer symbols, term by term) is its oracle.  ``pfq_residue`` is
-the fast path for the congruence checks: it runs the same recurrence over
-integers, carrying each term as p^v times a unit mod p^(k+guard), so no
+the single-prime path for the congruence checks: it runs the same recurrence
+over integers, carrying each term as p^v times a unit mod p^(k+guard), so no
 O(p^2)-bit denominator is ever formed; ``pfq_truncated`` reduced mod p^k is
-its test oracle.  On top of the evaluators sit the concrete sums and
-identity instances the verifier checks: Kilbourn's 4F3, the Van Hamme
-6F5(-1), Whipple's terminating 6F5 with its fully rational closed form,
-Bailey's 4F3 transformation specialized at cube-root-of-unity parameters,
-and the fourth-root specialization of the Whipple closed form.
+its test oracle.  ``pfq_residues`` serves a sweep: for a family whose
+parameters do not depend on p, one accumulating remainder tree over the
+same step factors gives the residue at every prime of the sweep, and
+``pfq_residue`` is its oracle.  On top of the evaluators sit the concrete
+sums and identity instances the verifier checks: Kilbourn's 4F3, the
+Theorem 1 4F3, the Van Hamme 6F5(-1), the half harmonic sum as a 3F2,
+Whipple's terminating 6F5 with its fully rational closed form, Bailey's 4F3
+transformation specialized at cube-root-of-unity parameters, and the
+fourth-root specialization of the Whipple closed form.
 """
 
 from __future__ import annotations
@@ -142,9 +146,24 @@ def _step_factors(spec: SeriesSpec) -> tuple[list[int], list[int]]:
     return ps, qs
 
 
-def _split(ps: list[int], qs: list[int], a: int, c: int) -> tuple[int, int, int]:
+def _compose(left: tuple[int, int, int], right: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(P, Q, T) of the steps of ``left`` followed by those of ``right``."""
+    P1, Q1, T1 = left
+    P2, Q2, T2 = right
+    return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+
+def _reduce(node: tuple[int, int, int], modulus: int) -> tuple[int, int, int]:
+    P, Q, T = node
+    return P % modulus, Q % modulus, T % modulus
+
+
+def _split(ps: list[int], qs: list[int], a: int, c: int, modulus: int = 0) -> tuple[int, int, int]:
     """(P, Q, T) of the steps a..c-1: P and Q are the products of ps and qs, and
-    T / Q = sum over j in a..c-1 of prod_{i=a}^{j} ps[i] / qs[i]."""
+    T / Q = sum over j in a..c-1 of prod_{i=a}^{j} ps[i] / qs[i].
+
+    With a modulus, every node above the leaves is reduced by it.
+    """
     if c - a <= _LEAF_STEPS:
         P, Q, T = 1, 1, 0
         for j in range(a, c):
@@ -153,9 +172,8 @@ def _split(ps: list[int], qs: list[int], a: int, c: int) -> tuple[int, int, int]
             Q *= qs[j]
         return P, Q, T
     b = (a + c) // 2
-    P1, Q1, T1 = _split(ps, qs, a, b)
-    P2, Q2, T2 = _split(ps, qs, b, c)
-    return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+    node = _compose(_split(ps, qs, a, b, modulus), _split(ps, qs, b, c, modulus))
+    return _reduce(node, modulus) if modulus else node
 
 
 def pfq_pair(spec: SeriesSpec) -> tuple[int, int]:
@@ -217,6 +235,11 @@ def _factor_product(coeffs, j: int, p: int, modulus: int) -> tuple[int, int, int
     return v, u, None
 
 
+def _guard(spec: SeriesSpec) -> int:
+    """The number of bottom parameters, a pair counting as two."""
+    return sum(2 if isinstance(b, ConjugatePair) else 1 for b in spec.bottom)
+
+
 def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
     """p^e * pfq_truncated(spec) mod p^k, computed over integers without forming the rational sum.
 
@@ -232,8 +255,9 @@ def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
     GuardExceeded when a term's valuation drops below -g, whichever comes
     first, and NegativeValuation when p^e times the sum is not p-integral.
     """
-    guard = sum(2 if isinstance(b, ConjugatePair) else 1 for b in spec.bottom)
-    modulus = p ** (k + guard)
+    guard = _guard(spec)
+    precision = k + max(0, -e)  # of the sum itself, before the factor p^e
+    modulus = p ** (precision + guard)
     top, top_den = _cleared(spec.top)
     bottom, bottom_den = _cleared(spec.bottom)
     scale = spec.argument * bottom_den / top_den
@@ -265,7 +289,7 @@ def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
         step_den = bottom_u * step_u * scale_den % modulus
         den = den * step_den % modulus
         total = total * step_den
-        if v < k:
+        if v < precision:
             total += p ** (v + guard) * num
         total %= modulus
     total = total * pow(den, -1, modulus) % modulus
@@ -277,6 +301,104 @@ def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
             )
         return ResidueInt(total // p**-shift, p, k)
     return ResidueInt(total * p**shift, p, k)
+
+
+def _prefixes(segments: list, moduli: list[int]) -> list[tuple[int, int, int]]:
+    """For each i, the composition of segments[0..i] reduced mod moduli[i].
+
+    An accumulating remainder tree (Costa-Gerbicz-Harvey): product trees of
+    the segments and of the moduli are built bottom-up, then each node
+    receives the composition of every segment to its left, reduced mod the
+    product of its own moduli.  The root's product is never formed.
+    """
+    seg_levels, mod_levels = [segments], [moduli]
+    while len(seg_levels[-1]) > 2:
+        segs, mods = seg_levels[-1], mod_levels[-1]
+        seg_levels.append([_compose(*segs[i : i + 2]) if i + 1 < len(segs) else segs[i]
+                           for i in range(0, len(segs), 2)])
+        mod_levels.append([math.prod(mods[i : i + 2]) for i in range(0, len(mods), 2)])
+    before = [(1, 1, 0)]
+    for segs, mods in zip(reversed(seg_levels), reversed(mod_levels)):
+        before = [
+            _reduce(_compose(before[i // 2], segs[i - 1]) if i % 2 else before[i // 2], mod)
+            for i, mod in enumerate(mods)
+        ]
+    return [_reduce(_compose(b, s), m) for b, s, m in zip(before, segments, moduli)]
+
+
+def _prefix_residue(node, p: int, k: int, e: int, guard: int, precision: int) -> ResidueInt:
+    """p^e * (Q + T) / Q mod p^k from a prefix (P, Q, T) reduced mod p^precision.
+
+    The precision is k + guard + max(0, -e): enough to read Q's unit part
+    and (Q + T) / p^(vp(Q) - e) mod p^k once vp(Q) <= guard.
+
+    Raises GuardExceeded when vp(Q) > guard, so that no term of the sum lies
+    below -guard and ``pfq_residue`` would return this same residue, and
+    NegativeValuation when p^e times the sum is not p-integral.
+    """
+    _, Q, T = node
+    if Q == 0:
+        raise GuardExceeded(f"the denominator of the sum vanishes mod {p}^{precision}")
+    v, unit = _p_split(Q, p)
+    if v > guard:
+        raise GuardExceeded(
+            f"the denominator of the sum has {p}-adic valuation {v}, above the guard {guard}"
+        )
+    total = (Q + T) % p**precision
+    shift = e - v
+    if shift < 0:
+        if total % p**-shift:
+            raise NegativeValuation(
+                f"{p}^{e} times the sum has negative {p}-adic valuation, cannot reduce mod {p}^{k}"
+            )
+        total //= p**-shift
+    else:
+        total *= p**shift
+    return ResidueInt(total * pow(unit, -1, p**k), p, k)
+
+
+def pfq_residues(
+    spec_at, primes: list[int], k: int, e: int = 0
+) -> list[ResidueInt | NegativeValuation]:
+    """pfq_residue(spec_at(p), p, k, e) for every p of primes, from one remainder tree.
+
+    The family spec_at must keep its parameters and argument for every p,
+    and its truncation index must never decrease along primes.  The step
+    factors are built once, for the largest truncation; the steps between
+    consecutive truncations form segments, summed by ``_split``, and
+    ``_prefixes`` reduces the prefix of each p mod p^(k+g) (for e >= 0),
+    with g the guard of ``pfq_residue``.  Nothing is divided before that, so a bottom factor
+    divisible by p needs no valuation bookkeeping in the tree.
+
+    Entry i is the residue at primes[i], or the GuardExceeded or
+    NegativeValuation its prefix raised (see ``_prefix_residue``); a residue
+    always equals pfq_residue's.  ZeroDenominatorPochhammer is raised for the
+    whole family when a bottom factor vanishes before the largest truncation.
+    """
+    specs = [spec_at(p) for p in primes]
+    if not specs:
+        return []
+    first = specs[0]
+    for prev, spec in zip(specs, specs[1:]):
+        if (spec.top, spec.bottom, spec.argument) != (first.top, first.bottom, first.argument):
+            raise ValueError("the family changes its parameters or argument with p")
+        if spec.terms < prev.terms:
+            raise ValueError("the truncation index decreases along the primes")
+    guard = _guard(first)
+    precision = k + guard + max(0, -e)
+    moduli = [p**precision for p in primes]
+    ps, qs = _step_factors(specs[-1])
+    ends = [min(spec.terms, len(ps)) for spec in specs]
+    # every prime reads the first segment, so it is needed only mod the product of all moduli
+    segments = [_split(ps, qs, 0, ends[0], math.prod(moduli))]
+    segments += [_split(ps, qs, a, b) for a, b in zip(ends, ends[1:])]
+    out: list[ResidueInt | NegativeValuation] = []
+    for node, p in zip(_prefixes(segments, moduli), primes):
+        try:
+            out.append(_prefix_residue(node, p, k, e, guard, precision))
+        except NegativeValuation as exc:  # GuardExceeded is one too
+            out.append(exc)
+    return out
 
 
 # --- the concrete truncated sums -------------------------------------------
@@ -324,6 +446,14 @@ def vanhamme_spec(p: int) -> SeriesSpec:
 def vanhamme_lhs(p: int, k: int) -> ResidueInt:
     """The Van Hamme sum mod p^k."""
     return pfq_residue(vanhamme_spec(p), p, k)
+
+
+def half_harmonic2_spec(p: int) -> SeriesSpec:
+    """3F2[1,1,1; 2,2; 1] truncated at (p-3)/2: term j is 1/(j+1)^2, so the sum is
+    sum_{j=1}^{(p-1)/2} 1/j^2 (``exact.half_harmonic2``)."""
+    if p % 2 == 0 or p < 3:
+        raise ValueError("p must be an odd prime")
+    return SeriesSpec((F(1),) * 3, (F(2),) * 2, F(1), (p - 3) // 2)
 
 
 # --- identity instances ------------------------------------------------------

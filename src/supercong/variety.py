@@ -2,9 +2,13 @@
 
 Solutions range over x, y, z, w in the multiplicative group (the equation needs
 invertibility).  Each variable contributes t = x + 1/x with fiber size
-c(t) = 1 + legendre(t^2 - 4), so N(p) is a fourfold additive convolution of c,
-computed as two O(p^2) self-convolutions.  A direct enumeration over
-(F_p^*)^4 serves as the oracle for small p.
+c(t) = 1 + legendre(t^2 - 4), read from a table of the squares mod p, so
+N(p) is a fourfold additive convolution of c.  The pair sums A = c * c come
+from one big-integer square (Kronecker substitution): c is packed into
+4-byte slots of a Python int, whose square holds every pair sum in its own
+slot, and N(p) = sum_s A(s) A(-s).  A direct enumeration over (F_p^*)^4
+serves as the oracle for small p; the int64 ``np.convolve`` this replaced is
+kept in the tests as the oracle at larger p.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from .exact import TooLarge, is_prime
 
 BRUTE_FORCE_MAX = 13
 
-# intermediate bound for the int64 convolution: entries <= 2, pair sums <= 4p,
-# products <= 16 p^2, final sums <= 16 p^3: safe with headroom below this cap
+# entries <= 2 and pair sums <= 4p < 2^32 fit a 4-byte slot; the products
+# A(s) A(-s) <= 16 p^2 sum to at most 16 p^3 < 2^63 in int64 below this cap
 CONV_MAX_P = 1 << 19
 
 
@@ -28,29 +32,39 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _fibers(p: int) -> np.ndarray:
+    """c(t) for t = 0..p-1 as int64: 1 + legendre(t^2 - 4), from a table of the squares mod p."""
+    t_squared = np.arange(p, dtype=np.int64) ** 2
+    is_square = np.zeros(p, dtype=bool)
+    is_square[t_squared[1:] % p] = True
+    a = (t_squared - 4) % p
+    return np.where(a == 0, 1, np.where(is_square[a], 2, 0))
+
+
 def fiber_counts(p: int) -> tuple[int, ...]:
     """c(t) = #{x in F_p^*: x + 1/x = t} for t = 0..p-1.
 
     Each is 1 + legendre(t^2 - 4), which is 1 at t = +-2.
     """
-    return tuple(1 + legendre(t * t - 4, p) for t in range(p))
+    return tuple(_fibers(p).tolist())
 
 
 def count_N(p: int) -> int:
-    """N(p) via self-convolution: A(s) = sum_{t1+t2=s} c(t1)c(t2), N = sum_s A(s)A(-s).
+    """N(p) = sum_s A(s)A(-s), with A(s) = sum_{t1+t2=s mod p} c(t1)c(t2).
 
-    p must be an odd prime: the fiber sizes use Euler's criterion.
+    The unfolded sums over t1 + t2 = s, s = 0..2p-2, are the 4-byte slots of
+    the square of the int whose slots hold c; each is at most 4p < 2^32, so
+    no slot carries into the next.  p must be an odd prime.
     """
     if p > CONV_MAX_P:
         raise TooLarge(f"convolution word-width bound exceeded for p = {p}")
     if p == 2 or not is_prime(p):
         raise ValueError(f"N(p) needs an odd prime p, got {p}")
-    c = np.array(fiber_counts(p), dtype=np.int64)
-    full = np.convolve(c, c)
-    folded = full[:p].copy()
-    folded[: len(full) - p] += full[p:]
-    a = folded.tolist()
-    return a[0] * a[0] + sum(a[s] * a[p - s] for s in range(1, p))
+    packed = int.from_bytes(_fibers(p).astype("<u4").tobytes(), "little")
+    full = np.frombuffer((packed * packed).to_bytes(8 * p, "little"), dtype="<u4")
+    a = full[:p].astype(np.int64)
+    a[: p - 1] += full[p : 2 * p - 1]
+    return int(a[0] * a[0] + a[1:] @ a[:0:-1])
 
 
 def brute_force_N(p: int) -> int:

@@ -2,9 +2,12 @@
 
 Every check is a pure function prime -> CheckOutcome, so a sweep parallelizes
 over primes with no shared state; a check that raises becomes a fail outcome
-naming the exception.  Outcomes are merged by a deterministic sort, making a
-Report independent of the worker count.  Residues are rendered as
-decimal strings in reports to avoid integer-width ambiguity in consumers.
+naming the exception.  The truncated series whose parameters do not depend
+on p are summed once per sweep, before any task runs, and handed to each
+check as an optional argument that it would otherwise compute itself.
+Outcomes are merged by a deterministic sort, making a Report independent of
+the worker count.  Residues are rendered as decimal strings in reports to
+avoid integer-width ambiguity in consumers.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .eta import TABLE_MAX_BOUND, a_p
 from .exact import (
@@ -39,9 +42,14 @@ from .hypergeom import (
     bailey_b1_check,
     c3_check,
     c3_rhs_closed,
+    half_harmonic2_spec,
     kilbourn_lhs,
+    kilbourn_spec,
+    pfq_residues,
     thm1_rhs,
+    thm1_spec,
     vanhamme_lhs,
+    vanhamme_spec,
     whipple_c1_check,
 )
 from .padic_gamma import gamma_p
@@ -132,30 +140,41 @@ def _identity_outcome(check: CheckId, p: int, outcome, note: str = "") -> CheckO
     return CheckOutcome(check, p, "fail", note=f"{note} {detail}".strip())
 
 
-def check_a1(p: int) -> CheckOutcome:
-    """a(p) = 4F3[1/2,1/2,1/2,1/2; 1,1,1; 1]_{(p-1)/2} (mod p^3), every odd prime."""
+def check_a1(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
+    """a(p) = 4F3[1/2,1/2,1/2,1/2; 1,1,1; 1]_{(p-1)/2} (mod p^3), every odd prime.
+
+    series, when given, is that sum mod p^3 from the sweep's batch
+    (``series_sides``); otherwise it is summed here.  Every check with a
+    series side takes it the same way.
+    """
     if p % 2 == 0:
         return _skip(CheckId.A1, p, "p must be odd")
     if p > TABLE_MAX_BOUND:
         return _skip(CheckId.A1, p, ETA_CAP_NOTE)
-    return _residue_outcome(CheckId.A1, p, reduce_mod(a_p(p), p, 3), kilbourn_lhs(p, 3))
+    coeff = reduce_mod(a_p(p), p, 3)
+    if series is None:
+        series = kilbourn_lhs(p, 3)
+    return _residue_outcome(CheckId.A1, p, coeff, series)
 
 
-def check_a2(p: int) -> CheckOutcome:
+def check_a2(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
     """a(p) = p * 4F3[1/2,1/2,1/2,1/2; 1,3/4,5/4; 1]_{(p-1)/2} (mod p^3), p >= 5."""
     if p < 5:
         return _skip(CheckId.A2, p, "theorem requires p >= 5")
     if p > TABLE_MAX_BOUND:
         return _skip(CheckId.A2, p, ETA_CAP_NOTE)
-    return _residue_outcome(CheckId.A2, p, reduce_mod(a_p(p), p, 3), thm1_rhs(p, 3))
+    coeff = reduce_mod(a_p(p), p, 3)
+    if series is None:
+        series = thm1_rhs(p, 3)
+    return _residue_outcome(CheckId.A2, p, coeff, series)
 
 
-def check_a3(p: int) -> CheckOutcome:
+def check_a3(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
     """Van Hamme (A.2): the truncated 6F5(-1) is -p Gamma_p(1/4)^4 mod p^3 for
     p = 1 (mod 4) and vanishes mod p^3 for p = 3 (mod 4)."""
     if p % 2 == 0:
         return _skip(CheckId.A3, p, "p must be odd")
-    lhs = vanhamme_lhs(p, 3)
+    lhs = vanhamme_lhs(p, 3) if series is None else series
     if p % 4 == 1:
         rhs = reduce_mod(F(-p), p, 3) * gamma_p(F(1, 4), p, 3) ** 4
         note = "branch p = 1 (mod 4)"
@@ -165,24 +184,24 @@ def check_a3(p: int) -> CheckOutcome:
     return _residue_outcome(CheckId.A3, p, lhs, rhs, note)
 
 
-def check_a4(p: int) -> CheckOutcome:
+def check_a4(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
     """The p = 3 (mod 4) strengthening: 6F5(-1) = -(p^3/16) Gamma_p(1/4)^4 mod p^4."""
     if p % 4 != 3:
         return _skip(CheckId.A4, p, "p != 3 (mod 4)")
     if p < 7:
         return _skip(CheckId.A4, p, "theorem requires p >= 7")
-    lhs = vanhamme_lhs(p, 4)
+    lhs = vanhamme_lhs(p, 4) if series is None else series
     rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
     return _residue_outcome(CheckId.A4, p, lhs, rhs)
 
 
-def check_swisher(p: int) -> CheckOutcome:
+def check_swisher(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
     """The p = 1 (mod 4) branch of Van Hamme (A.2) strengthened to mod p^5."""
     if p % 4 != 1:
         return _skip(CheckId.A3_SWISHER, p, "p != 1 (mod 4)")
     if p > SWISHER_MAX_P:
         return _skip(CheckId.A3_SWISHER, p, f"cost cap: p <= {SWISHER_MAX_P} for mod p^5")
-    lhs = vanhamme_lhs(p, 5)
+    lhs = vanhamme_lhs(p, 5) if series is None else series
     rhs = reduce_mod(F(-p), p, 5) * gamma_p(F(1, 4), p, 5) ** 4
     return _residue_outcome(CheckId.A3_SWISHER, p, lhs, rhs)
 
@@ -203,15 +222,20 @@ def check_b4(p: int) -> CheckOutcome:
     return _residue_outcome(CheckId.B4, p, lhs, ResidueInt(1, p, 3))
 
 
-def check_b6(p: int) -> CheckOutcome:
+def check_b6(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
     """(1+p/2)_m (1-p/2)_m / (1)_m^2 = 1 mod p^3, and the sharper Taylor form
-    1 - (p^2/4) sum_{j<=m} 1/j^2 mod p^4.  Every factor is a p-unit."""
+    1 - (p^2/4) sum_{j<=m} 1/j^2 mod p^4.  Every factor is a p-unit.
+
+    series, when given, is that sum mod p^4 from the sweep's batch.
+    """
     if p < 5:
         return _skip(CheckId.B6, p, "requires p >= 5")
     m = (p - 1) // 2
     num = pochhammer_mod(1 + F(p, 2), m, p, 4) * pochhammer_mod(1 - F(p, 2), m, p, 4)
     lhs = num * pochhammer_mod(1, m, p, 4).inverse() ** 2
-    rhs = 1 - reduce_mod(F(p * p, 4), p, 4) * half_harmonic2(p, 4)
+    if series is None:
+        series = half_harmonic2(p, 4)
+    rhs = 1 - reduce_mod(F(p * p, 4), p, 4) * series
     coarse_ok = (lhs.value - 1) % p**3 == 0
     if coarse_ok and lhs == rhs:
         return CheckOutcome(CheckId.B6, p, "pass", lhs, rhs, lhs.modulus)
@@ -235,11 +259,11 @@ def check_c5(p: int) -> CheckOutcome:
     return _residue_outcome(CheckId.C5, p, lhs, rhs)
 
 
-def check_wolstenholme(p: int) -> CheckOutcome:
+def check_wolstenholme(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
     """sum_{j=1}^{(p-1)/2} 1/j^2 = 0 (mod p) for p >= 5."""
     if p < 5:
         return _skip(CheckId.WOLSTENHOLME, p, "requires p >= 5")
-    lhs = half_harmonic2(p, 1)
+    lhs = half_harmonic2(p, 1) if series is None else series
     return _residue_outcome(CheckId.WOLSTENHOLME, p, lhs, ResidueInt(0, p, 1))
 
 
@@ -299,6 +323,56 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return [lo + i for i, prime in enumerate(window) if prime]
 
 
+# Each series summed for a whole sweep at once: its family, the e of pfq_residue,
+# and the precision k at which each check reads it.
+_BATCHED_SERIES = (
+    (kilbourn_spec, 0, {CheckId.A1: 3}),
+    (thm1_spec, 1, {CheckId.A2: 3}),
+    (vanhamme_spec, 0, {CheckId.A3: 3, CheckId.A4: 4, CheckId.A3_SWISHER: 5}),
+    (half_harmonic2_spec, 0, {CheckId.B6: 4, CheckId.WOLSTENHOLME: 1}),
+)
+
+# The primes at which a check sums its series side; it skips the others first.  This
+# only plans the batches: a prime left out sums its own side.
+_SUMS_SERIES_AT = {
+    CheckId.A1: lambda p: p % 2 == 1 and p <= TABLE_MAX_BOUND,
+    CheckId.A2: lambda p: 5 <= p <= TABLE_MAX_BOUND,
+    CheckId.A3: lambda p: p % 2 == 1,
+    CheckId.A4: lambda p: p % 4 == 3 and p >= 7,
+    CheckId.A3_SWISHER: lambda p: p % 4 == 1 and p <= SWISHER_MAX_P,
+    CheckId.B6: lambda p: p >= 5,
+    CheckId.WOLSTENHOLME: lambda p: p >= 5,
+}
+
+
+def series_sides(
+    primes: list[int], checks: Collection[CheckId]
+) -> dict[CheckId, dict[int, ResidueInt]]:
+    """The series side of each selected check, {check: {p: residue}}, one batch per series.
+
+    Each series is summed by ``pfq_residues`` at every prime that one of its
+    checks reads, at the largest precision they read, and reduced for each
+    check.  A prime whose sum raised is left out, so its check sums the side
+    itself and fails exactly as it would alone.  A series read at fewer than
+    two primes is not batched: a tree of one leaf shares nothing.
+    """
+    sides = {}
+    for spec_at, e, precisions in _BATCHED_SERIES:
+        wanted = {c: [p for p in primes if _SUMS_SERIES_AT[c](p)] for c in precisions if c in checks}
+        family = sorted(set().union(*wanted.values()))
+        if len(family) < 2:
+            continue
+        k = max(precisions[c] for c, ps in wanted.items() if ps)
+        sums = dict(zip(family, pfq_residues(spec_at, family, k, e)))
+        for check, ps in wanted.items():
+            sides[check] = {
+                p: ResidueInt(sums[p].value, p, precisions[check])
+                for p in ps
+                if isinstance(sums[p], ResidueInt)
+            }
+    return sides
+
+
 def _run_task(task) -> CheckOutcome:
     """Run one (CheckId, args) task; an exception raised by the check becomes a fail outcome.
 
@@ -332,7 +406,10 @@ def run_suite(
     """Run the selected checks over all primes in [pmin, pmax].
 
     The outcome list is sorted by (check, p, note) and is identical for any
-    worker count.  Skipped hypotheses are recorded, never dropped.
+    worker count.  Skipped hypotheses are recorded, never dropped.  Before
+    any task runs, and before a pool starts, the calling process sums each
+    series side once for all primes (``series_sides``); a task carries its
+    side as the check's second argument.
     """
     checks = frozenset(checks)
     if not checks:
@@ -345,6 +422,7 @@ def run_suite(
         raise ConfigError("workers must be >= 1")
 
     primes = primes_between(pmin, pmax)
+    sides = series_sides(primes, checks)
     tasks = []
     for check in CheckId:
         if check not in checks:
@@ -352,7 +430,8 @@ def run_suite(
         if check is CheckId.C1_IDENTITY:
             tasks.extend((check, (n, y)) for n in range(C1_MAX_N + 1) for y in C1_SAMPLE_YS)
         else:
-            tasks.extend((check, (p,)) for p in primes)
+            side = sides.get(check, {})
+            tasks.extend((check, (p, side[p]) if p in side else (p,)) for p in primes)
 
     if workers == 1:
         outcomes = [_run_task(t) for t in tasks]

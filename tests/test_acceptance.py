@@ -235,3 +235,14 @@ def test_criterion_15_identities_above_two_thousand():
     elapsed = time.perf_counter() - start
     report(15, f"b1 equal at all {len(primes)} primes and c3 at the {len(c3_primes)} primes "
                f"= 3 mod 4 in 2000..2100 ({window:.1f}s), both at 10007 ({elapsed:.1f}s)")
+
+
+def test_criterion_16_a1_a2_to_ten_thousand():
+    start = time.perf_counter()
+    suite = run_suite(3, 10**4, {CheckId.A1, CheckId.A2}, workers=1)
+    elapsed = time.perf_counter() - start
+    # every odd prime for a1, and every prime from 5 for a2 (it skips p = 3)
+    assert suite.summary == {"pass": 2455, "fail": 0, "skipped": 1}
+    assert elapsed < 10.0
+    report(16, f"a1 and a2 hold at all 2455 of their primes up to 10^4 "
+               f"({elapsed:.1f}s single-threaded, each series summed once per sweep)")

@@ -20,6 +20,8 @@ from supercong.exact import (
     is_prime,
     pochhammer,
     pochhammer_mod,
+    pochhammer_pair,
+    product_tree,
     reduce_mod,
     vp,
 )
@@ -165,6 +167,23 @@ class TestPochhammer:
     @settings(max_examples=60)
     def test_composition(self, a, m, n):
         assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
+
+    PARAMS = (F(1, 2), F(-3, 2), F(7, 3), F(-4), F(0), F(1 - 10007, 2),
+              ConjugatePair(F(1), F(10007, 2), TRACE_OMEGA), ConjugatePair(F(1, 2), F(3, 4), TRACE_I))
+
+    @pytest.mark.parametrize("param", PARAMS)
+    def test_pair_is_the_left_to_right_product(self, param):
+        (c0, c1, c2), den = cleared_factor(param)
+        for n in (*range(40), 63, 64, 65, 100, 1000, 5003):
+            expected = math.prod(c0 + j * (c1 + j * c2) for j in range(n)), den**n
+            assert pochhammer_pair(param, n) == expected, n
+
+    def test_product_tree(self):
+        assert product_tree([]) == 1
+        assert product_tree([-7]) == -7
+        for n in range(1, 70):
+            factors = [3 * j - 50 for j in range(n)]
+            assert product_tree(factors) == math.prod(factors)
 
 
 def cubic_collapse(u, v, p, k):

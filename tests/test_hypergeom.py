@@ -13,6 +13,7 @@ from supercong.exact import (
     TRACE_OMEGA,
     ConjugatePair,
     NegativeValuation,
+    half_harmonic2,
     pochhammer,
     reduce_mod,
     vp,
@@ -26,9 +27,11 @@ from supercong.hypergeom import (
     bailey_b1_check,
     c3_check,
     c3_rhs_closed,
+    half_harmonic2_spec,
     kilbourn_lhs,
     kilbourn_spec,
     pfq_residue,
+    pfq_residues,
     pfq_truncated,
     pfq_truncated_reference,
     ramanujan_float_check,
@@ -223,7 +226,7 @@ def residue_cases(draw):
     terms = draw(st.integers(0, 3 * p))
     spec = SeriesSpec(tuple(draw(st.permutations(top))), tuple(draw(st.permutations(bottom))),
                       argument, terms)
-    return spec, p, draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    return spec, p, draw(st.integers(1, 4)), draw(st.integers(-1, 2))
 
 
 class TestPfqResidue:
@@ -232,7 +235,7 @@ class TestPfqResidue:
     def test_matches_reduced_exact_sum(self, case):
         spec, p, k, e = case
         try:
-            exact = p**e * pfq_truncated(spec)
+            exact = F(p) ** e * pfq_truncated(spec)
         except ZeroDenominatorPochhammer as info:
             # the guard may trip at an earlier term than the vanishing factor
             with pytest.raises((ZeroDenominatorPochhammer, GuardExceeded)) as got:
@@ -285,6 +288,121 @@ class TestPfqResidue:
     def test_zero_argument(self):
         spec = SeriesSpec((F(1, 2),), (F(1),), F(0), 5)
         assert pfq_residue(spec, 3, 2).value == 1
+
+
+# each batched family of the verifier: spec, k, e and its least prime
+BATCHED_FAMILIES = {
+    "kilbourn": (kilbourn_spec, 3, 0, 3),
+    "thm1": (thm1_spec, 3, 1, 5),
+    "vanhamme": (vanhamme_spec, 5, 0, 3),
+    "half_harmonic2": (half_harmonic2_spec, 4, 0, 3),
+}
+
+
+def single_prime(spec_at, p, k, e):
+    """pfq_residue at p, or the exception it raised."""
+    try:
+        return pfq_residue(spec_at(p), p, k, e)
+    except ArithmeticError as exc:
+        return exc
+
+
+@st.composite
+def residue_families(draw):
+    """A family with fixed parameters and argument and a truncation growing with p, some
+    primes, k and e; bottom parameters with small denominators hit p at some steps."""
+    top = draw(rational_params(0, 3)) + draw(st.lists(conjugate_pairs, max_size=1))
+    bottom = draw(st.lists(small_rationals.filter(lambda x: x > 0), max_size=3))
+    bottom += draw(st.lists(conjugate_pairs, max_size=1))
+    argument = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    scale, shift = draw(st.sampled_from([(1, 0), (2, -1), (4, 1)]))
+    offset = draw(st.integers(-1, 3))
+    primes = sorted(draw(st.sets(st.sampled_from(primes_between(3, 60)), max_size=6)))
+
+    def spec_at(p):
+        terms = max(0, (scale * p + shift) // 2 + offset)
+        return SeriesSpec(tuple(top), tuple(bottom), argument, terms)
+
+    return spec_at, primes, draw(st.integers(1, 4)), draw(st.integers(-1, 2))
+
+
+class TestPfqResidues:
+    @pytest.mark.parametrize("family", BATCHED_FAMILIES)
+    def test_every_prime_to_3000(self, family):
+        spec_at, k, e, least = BATCHED_FAMILIES[family]
+        primes = primes_between(least, 3000)
+        assert pfq_residues(spec_at, primes, k, e) == [pfq_residue(spec_at(p), p, k, e) for p in primes]
+
+    @pytest.mark.parametrize("family", BATCHED_FAMILIES)
+    @pytest.mark.parametrize("window", [(2100, 2202), (10000, 10100)])
+    def test_windows(self, family, window):
+        spec_at, k, e, _ = BATCHED_FAMILIES[family]
+        primes = primes_between(*window)
+        assert pfq_residues(spec_at, primes, k, e) == [pfq_residue(spec_at(p), p, k, e) for p in primes]
+
+    @pytest.mark.parametrize("family", BATCHED_FAMILIES)
+    def test_one_prime_and_none(self, family):
+        spec_at, k, e, _ = BATCHED_FAMILIES[family]
+        for p in (5, 2111, 10007):
+            assert pfq_residues(spec_at, [p], k, e) == [pfq_residue(spec_at(p), p, k, e)]
+        assert pfq_residues(spec_at, [], k, e) == []
+
+    def test_half_harmonic2_spec(self):
+        for p in primes_between(3, 400):
+            assert pfq_residue(half_harmonic2_spec(p), p, 4) == half_harmonic2(p, 4)
+
+    def test_sum_that_is_not_p_integral(self):
+        # without the factor p the Theorem 1 sum has valuation -1 at some primes
+        primes = primes_between(5, 300)
+        got = pfq_residues(thm1_spec, primes, 3)
+        assert any(isinstance(batched, NegativeValuation) for batched in got)
+        for p, batched in zip(primes, got):
+            alone = single_prime(thm1_spec, p, 3, 0)
+            if isinstance(batched, NegativeValuation):
+                assert type(batched) is type(alone) is NegativeValuation
+                assert str(batched) == str(alone)
+            else:
+                assert batched == alone
+
+    @given(residue_families())
+    @settings(max_examples=200, deadline=None)
+    def test_against_single_prime(self, case):
+        spec_at, primes, k, e = case
+        try:
+            got = pfq_residues(spec_at, primes, k, e)
+        except ZeroDenominatorPochhammer:
+            with pytest.raises((ZeroDenominatorPochhammer, GuardExceeded)):
+                pfq_residue(spec_at(primes[-1]), primes[-1], k, e)
+            return
+        assert len(got) == len(primes)
+        for p, batched in zip(primes, got):
+            alone = single_prime(spec_at, p, k, e)
+            if isinstance(batched, GuardExceeded):
+                continue  # the tree's guard is on the whole denominator: it may trip first
+            if isinstance(batched, NegativeValuation):
+                assert type(alone) is NegativeValuation
+            else:
+                assert batched == alone
+
+    def test_guard_on_the_denominator(self):
+        # term j is 1 / (1/2)_j, of valuation -1 from j = 3 at p = 5, but the step
+        # denominators 2j+1 and j+1 hold 5 at j = 2 and j = 4: vp(Q) = 2 > guard 1
+        spec = SeriesSpec((F(1),), (F(1, 2),), F(1), 5)
+        (got,) = pfq_residues(lambda p: spec, [5], 2)
+        assert isinstance(got, GuardExceeded)
+        assert "valuation 2, above the guard 1" in str(got)
+        # the single-prime path tracks the terms themselves and needs e = 1
+        assert pfq_residue(spec, 5, 2, e=1) == reduce_mod(5 * pfq_truncated(spec), 5, 2)
+        # with 2p steps the denominator vanishes mod p^(k+guard)
+        long = SeriesSpec((F(1),), (F(1, 2),), F(1), 10)
+        (got,) = pfq_residues(lambda p: long, [5], 2)
+        assert "vanishes mod 5^3" in str(got)
+
+    def test_family_must_keep_its_parameters(self):
+        with pytest.raises(ValueError, match="parameters"):
+            pfq_residues(lambda p: SeriesSpec((F(p),), (), F(1), p), [3, 5], 2)
+        with pytest.raises(ValueError, match="decreases"):
+            pfq_residues(lambda p: SeriesSpec((F(1),), (), F(1), 10 - p), [3, 5], 2)
 
 
 class TestWhippleC1:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from supercong.variety import (
@@ -7,8 +8,19 @@ from supercong.variety import (
     fiber_counts,
     legendre,
 )
+from supercong.verifier import primes_between
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
+
+
+def convolved_N(p):
+    """N(p) by the int64 ``np.convolve`` of fiber sizes from Euler's criterion: the oracle."""
+    c = np.array([1 + legendre(t * t - 4, p) for t in range(p)], dtype=np.int64)
+    full = np.convolve(c, c)
+    folded = full[:p].copy()
+    folded[: len(full) - p] += full[p:]
+    a = folded.tolist()
+    return a[0] * a[0] + sum(a[s] * a[p - s] for s in range(1, p))
 
 
 class TestLegendre:
@@ -56,7 +68,14 @@ class TestCountN:
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_matches_brute_force(self, p):
-        assert count_N(p) == brute_force_N(p)
+        assert count_N(p) == brute_force_N(p) == convolved_N(p)
+
+    def test_matches_the_convolution_below_3000(self):
+        for p in primes_between(3, 3000):
+            assert count_N(p) == convolved_N(p), p
+
+    def test_matches_the_convolution_at_10007(self):
+        assert count_N(10007) == convolved_N(10007)
 
     @pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15, 25, 49, 121, 10001])
     def test_rejects_non_odd_prime(self, p):

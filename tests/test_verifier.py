@@ -10,7 +10,9 @@ from supercong.exact import (
     TRACE_I,
     TRACE_OMEGA,
     ConjugatePair,
+    NegativeValuation,
     ResidueInt,
+    half_harmonic2,
     is_prime,
     pochhammer,
     reduce_mod,
@@ -39,7 +41,12 @@ from supercong.verifier import (
     parse_report,
     primes_between,
     run_suite,
+    series_sides,
 )
+
+# the checks whose series side a sweep sums for all primes at once
+BATCHED = {CheckId.A1, CheckId.A2, CheckId.A3, CheckId.A4, CheckId.A3_SWISHER,
+           CheckId.B6, CheckId.WOLSTENHOLME}
 
 
 class TestPrimesBetween:
@@ -215,6 +222,57 @@ class TestRunSuite:
         assert default_workers() == 3
         monkeypatch.delenv("SUPERCONG_WORKERS")
         assert default_workers() == 1
+
+
+class TestBatchedSides:
+    def test_sides_match_the_single_prime_sums(self):
+        primes = primes_between(2, 400)
+        sides = series_sides(primes, BATCHED)
+        single = {
+            CheckId.A1: lambda p: hypergeom.kilbourn_lhs(p, 3),
+            CheckId.A2: lambda p: hypergeom.thm1_rhs(p, 3),
+            CheckId.A3: lambda p: hypergeom.vanhamme_lhs(p, 3),
+            CheckId.A4: lambda p: hypergeom.vanhamme_lhs(p, 4),
+            CheckId.A3_SWISHER: lambda p: hypergeom.vanhamme_lhs(p, 5),
+            CheckId.B6: lambda p: half_harmonic2(p, 4),
+            CheckId.WOLSTENHOLME: lambda p: half_harmonic2(p, 1),
+        }
+        assert sides.keys() == BATCHED
+        for check, side in sides.items():
+            assert side and side == {p: single[check](p) for p in side}, check
+        # the primes each check would skip are left out
+        assert min(sides[CheckId.A2]) == 5 and 2 not in sides[CheckId.A1]
+        assert all(p % 4 == 1 and p <= verifier.SWISHER_MAX_P for p in sides[CheckId.A3_SWISHER])
+
+    def test_sweep_reads_the_batched_side(self, monkeypatch):
+        monkeypatch.setattr(verifier, "pfq_residues",
+                            lambda spec_at, primes, k, e=0: [ResidueInt(0, p, k) for p in primes])
+        report = run_suite(3, 40, {CheckId.A1}, workers=1)
+        assert [o.rhs_residue for o in report.outcomes] == [ResidueInt(0, o.p, 3) for o in report.outcomes]
+
+    def test_prime_left_out_of_the_batch_is_a_direct_call(self, monkeypatch):
+        real = verifier.pfq_residues
+
+        def raise_at_second(spec_at, primes, k, e=0):
+            out = real(spec_at, primes, k, e)
+            out[1] = NegativeValuation("left out")
+            return out
+
+        monkeypatch.setattr(verifier, "pfq_residues", raise_at_second)
+        sides = series_sides(primes_between(3, 60), BATCHED)
+        assert 5 not in sides[CheckId.A1] and 3 in sides[CheckId.A1]
+        report = run_suite(3, 60, BATCHED, workers=1)
+        for outcome in report.outcomes:
+            assert outcome == getattr(verifier, f"check_{outcome.check.value}")(outcome.p)
+
+    def test_direct_call_with_and_without_the_side(self):
+        sides = series_sides([2111, 2113], {CheckId.A1})[CheckId.A1]
+        for p, side in sides.items():
+            assert check_a1(p, side) == check_a1(p)
+
+    def test_one_prime_is_not_batched(self):
+        assert series_sides([101], BATCHED) == {}
+        assert series_sides([2, 3], {CheckId.A2}) == {}
 
 
 class TestDispatch:
