@@ -15,6 +15,17 @@ identity checks use the pair, and ``pochhammer`` reduces it to a
 ``Fraction``.  The congruence checks work in Z/p^k throughout and multiply
 only residues (``pochhammer_mod``, ``half_harmonic2``); there the exact
 symbol is the test oracle.
+
+A sweep needs the same kind of product at many primes.
+``remainder_tree`` is the accumulating remainder tree (Costa-Gerbicz-Harvey)
+that gives every prefix of a list of segments, each reduced mod its own
+modulus, over any node type; ``hypergeom.pfq_residues`` walks it with the
+(P, Q, T) triples of a series.  ``rising_coefficients`` walks it with
+polynomials: the K lowest coefficients of (1+y)_n at many (n, modulus)
+leaves.  A Pochhammer symbol whose parameters depend on p only through
+y = p*t, t p-integral, is a value of (1+y)_n, and mod p^K only those K
+coefficients matter, so one tree gives such a symbol at every prime of a
+sweep; ``pochhammer_mod`` is its single-prime path and oracle.
 """
 
 from __future__ import annotations
@@ -232,6 +243,88 @@ def product_tree(factors: list[int]) -> int:
     while len(factors) > 1:
         factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
     return factors[0]
+
+
+def remainder_tree(segments: list, moduli: list[int], compose, reduce, one) -> list:
+    """For each i, the composition of segments[0..i] reduced mod moduli[i].
+
+    An accumulating remainder tree (Costa-Gerbicz-Harvey) over any node type:
+    compose(a, b) is the node of a followed by b, reduce(a, m) reduces a
+    mod m, and one is the empty node.  Product trees of the segments and of
+    the moduli are built bottom-up, then each node receives the composition
+    of every segment to its left, reduced mod the product of its own moduli.
+    The root's product is never formed.
+    """
+    seg_levels, mod_levels = [segments], [moduli]
+    while len(seg_levels[-1]) > 2:
+        segs, mods = seg_levels[-1], mod_levels[-1]
+        seg_levels.append([compose(*segs[i : i + 2]) if i + 1 < len(segs) else segs[i]
+                           for i in range(0, len(segs), 2)])
+        mod_levels.append([math.prod(mods[i : i + 2]) for i in range(0, len(mods), 2)])
+    before = [one]
+    for segs, mods in zip(reversed(seg_levels), reversed(mod_levels)):
+        before = [
+            reduce(compose(before[i // 2], segs[i - 1]) if i % 2 else before[i // 2], mod)
+            for i, mod in enumerate(mods)
+        ]
+    return [reduce(compose(b, s), m) for b, s, m in zip(before, segments, moduli)]
+
+
+def cut_product(f: list[int], g: list[int], modulus: int = 0) -> list[int]:
+    """f * g cut to the length of f, coefficients reduced mod modulus when one is given."""
+    k = len(f)
+    out = [0] * k
+    for a, fa in enumerate(f):
+        if fa:
+            for b in range(k - a):
+                out[a + b] += fa * g[b]
+    return [c % modulus for c in out] if modulus else out
+
+
+def _reduce_coefficients(f: list[int], modulus: int) -> list[int]:
+    return [c % modulus for c in f]
+
+
+# a run of at most this many factors (y + s) is multiplied in by one loop
+_LEAF_FACTORS = 16
+
+
+def _rising_segment(a: int, c: int, k: int, modulus: int = 0) -> list[int]:
+    """prod_{s=a+1}^{c} (y + s) cut to degree < k, by binary splitting.
+
+    With a modulus, every node above the leaves is reduced by it.
+    """
+    if c - a <= _LEAF_FACTORS:
+        f = [1] + [0] * (k - 1)
+        for s in range(a + 1, c + 1):
+            for d in range(k - 1, 0, -1):
+                f[d] = f[d] * s + f[d - 1]
+            f[0] *= s
+        return f
+    b = (a + c) // 2
+    return cut_product(_rising_segment(a, b, k, modulus), _rising_segment(b, c, k, modulus), modulus)
+
+
+def rising_coefficients(leaves: list[tuple[int, int]], k: int) -> list[list[int]]:
+    """For each (n, modulus) of leaves, sorted by n, the k coefficients of
+    (1+y)_n = prod_{s=1}^{n} (y + s) mod y^k, reduced mod that modulus.
+
+    The products between consecutive positions are the segments of one
+    ``remainder_tree``; equal positions give empty segments.  Every leaf
+    reads the first segment, so it is reduced mod the product of all moduli
+    while it is built.  A congruence reads (1+y)_n at y = p*t with t
+    p-integral, and there y^d = 0 mod p^k for d >= k, so the k coefficients
+    mod p^k give every such value mod p^k.
+    """
+    if not leaves:
+        return []
+    ns = [n for n, _ in leaves]
+    moduli = [modulus for _, modulus in leaves]
+    if ns[0] < 0 or any(b < a for a, b in zip(ns, ns[1:])):
+        raise ValueError("the positions must be nonnegative and sorted")
+    segments = [_rising_segment(0, ns[0], k, math.prod(moduli))]
+    segments += [_rising_segment(a, b, k) for a, b in zip(ns, ns[1:])]
+    return remainder_tree(segments, moduli, cut_product, _reduce_coefficients, [1] + [0] * (k - 1))
 
 
 def pochhammer_pair(param: Union[RationalLike, ConjugatePair], n: int) -> tuple[int, int]:

@@ -17,14 +17,14 @@ the single-prime path for the congruence checks: it runs the same recurrence
 over integers, carrying each term as p^v times a unit mod p^(k+guard), so no
 O(p^2)-bit denominator is ever formed; ``pfq_truncated`` reduced mod p^k is
 its test oracle.  ``pfq_residues`` serves a sweep: for a family whose
-parameters do not depend on p, one accumulating remainder tree over the
-same step factors gives the residue at every prime of the sweep, and
-``pfq_residue`` is its oracle.  On top of the evaluators sit the concrete
-sums and identity instances the verifier checks: Kilbourn's 4F3, the
-Theorem 1 4F3, the Van Hamme 6F5(-1), the half harmonic sum as a 3F2,
-Whipple's terminating 6F5 with its fully rational closed form, Bailey's 4F3
-transformation specialized at cube-root-of-unity parameters, and the
-fourth-root specialization of the Whipple closed form.
+parameters do not depend on p, one accumulating remainder tree
+(``exact.remainder_tree``) over the same step factors gives the residue at
+every prime of the sweep, and ``pfq_residue`` is its oracle.  On top of the
+evaluators sit the concrete sums and identity instances the verifier
+checks: Kilbourn's 4F3, the Theorem 1 4F3, the Van Hamme 6F5(-1), the half
+harmonic sum as a 3F2, Whipple's terminating 6F5 with its fully rational
+closed form, Bailey's 4F3 transformation specialized at cube-root-of-unity
+parameters, and the fourth-root specialization of the Whipple closed form.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .exact import (
     pochhammer_mod,
     pochhammer_pair,
     reduce_mod,
+    remainder_tree,
 )
 
 
@@ -303,29 +304,6 @@ def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
     return ResidueInt(total * p**shift, p, k)
 
 
-def _prefixes(segments: list, moduli: list[int]) -> list[tuple[int, int, int]]:
-    """For each i, the composition of segments[0..i] reduced mod moduli[i].
-
-    An accumulating remainder tree (Costa-Gerbicz-Harvey): product trees of
-    the segments and of the moduli are built bottom-up, then each node
-    receives the composition of every segment to its left, reduced mod the
-    product of its own moduli.  The root's product is never formed.
-    """
-    seg_levels, mod_levels = [segments], [moduli]
-    while len(seg_levels[-1]) > 2:
-        segs, mods = seg_levels[-1], mod_levels[-1]
-        seg_levels.append([_compose(*segs[i : i + 2]) if i + 1 < len(segs) else segs[i]
-                           for i in range(0, len(segs), 2)])
-        mod_levels.append([math.prod(mods[i : i + 2]) for i in range(0, len(mods), 2)])
-    before = [(1, 1, 0)]
-    for segs, mods in zip(reversed(seg_levels), reversed(mod_levels)):
-        before = [
-            _reduce(_compose(before[i // 2], segs[i - 1]) if i % 2 else before[i // 2], mod)
-            for i, mod in enumerate(mods)
-        ]
-    return [_reduce(_compose(b, s), m) for b, s, m in zip(before, segments, moduli)]
-
-
 def _prefix_residue(node, p: int, k: int, e: int, guard: int, precision: int) -> ResidueInt:
     """p^e * (Q + T) / Q mod p^k from a prefix (P, Q, T) reduced mod p^precision.
 
@@ -366,7 +344,7 @@ def pfq_residues(
     and its truncation index must never decrease along primes.  The step
     factors are built once, for the largest truncation; the steps between
     consecutive truncations form segments, summed by ``_split``, and
-    ``_prefixes`` reduces the prefix of each p mod p^(k+g) (for e >= 0),
+    ``remainder_tree`` reduces the prefix of each p mod p^(k+g) (for e >= 0),
     with g the guard of ``pfq_residue``.  Nothing is divided before that, so a bottom factor
     divisible by p needs no valuation bookkeeping in the tree.
 
@@ -393,7 +371,8 @@ def pfq_residues(
     segments = [_split(ps, qs, 0, ends[0], math.prod(moduli))]
     segments += [_split(ps, qs, a, b) for a, b in zip(ends, ends[1:])]
     out: list[ResidueInt | NegativeValuation] = []
-    for node, p in zip(_prefixes(segments, moduli), primes):
+    prefixes = remainder_tree(segments, moduli, _compose, _reduce, (1, 1, 0))
+    for node, p in zip(prefixes, primes):
         try:
             out.append(_prefix_residue(node, p, k, e, guard, precision))
         except NegativeValuation as exc:  # GuardExceeded is one too
@@ -566,11 +545,19 @@ def _c3_closed_form(p: int) -> tuple[int, ConjugatePair, ConjugatePair]:
     return (p + 1) // 4, ConjugatePair(F(1), F(p, 4), TRACE_I), ConjugatePair(F(1, 2), F(p, 4), TRACE_I)
 
 
-def c3_rhs_closed(p: int, k: int) -> ResidueInt:
-    """The closed form mod p^k.  Every factor of both products is a p-unit."""
+def c3_rhs_closed(
+    p: int, k: int, symbols: tuple[ResidueInt, ResidueInt] | None = None
+) -> ResidueInt:
+    """The closed form mod p^k.  Every factor of both products is a p-unit.
+
+    symbols, when given, are (A)_{q-1} and (B)_q mod p^k (``_c3_closed_form``);
+    otherwise they are multiplied here.
+    """
     q, num, den = _c3_closed_form(p)
-    ratio = pochhammer_mod(num, q - 1, p, k) * pochhammer_mod(den, q, p, k).inverse()
-    return reduce_mod(F(-(p**3), 16), p, k) * ratio
+    if symbols is None:
+        symbols = pochhammer_mod(num, q - 1, p, k), pochhammer_mod(den, q, p, k)
+    num_symbol, den_symbol = symbols
+    return reduce_mod(F(-(p**3), 16), p, k) * num_symbol * den_symbol.inverse()
 
 
 def c3_check(p: int) -> IdentityOutcome:

@@ -30,7 +30,7 @@ The definitional product survives only as the test oracle.
 
 from __future__ import annotations
 
-from .exact import RationalLike, ResidueInt, is_prime, reduce_mod
+from .exact import RationalLike, ResidueInt, cut_product, is_prime, reduce_mod
 
 
 def sp(x: RationalLike, p: int) -> int:
@@ -44,17 +44,6 @@ def _check_modulus(p: int, k: int) -> None:
         raise ValueError(f"Gamma_p needs a precision exponent k >= 1, got {k!r}")
     if not is_prime(p):
         raise ValueError(f"Gamma_p needs a prime p, got {p!r}")
-
-
-def _cut_product(f: list[int], g: list[int], modulus: int) -> list[int]:
-    """f * g cut to the length of f, coefficients reduced mod modulus."""
-    k = len(f)
-    out = [0] * k
-    for a, fa in enumerate(f):
-        if fa:
-            for b in range(k - a):
-                out[a + b] += fa * g[b]
-    return [c % modulus for c in out]
 
 
 def _shift(f: list[int], a: int, modulus: int) -> list[int]:
@@ -83,10 +72,10 @@ def _blocks_product(q: int, p: int, k: int, modulus: int) -> int:
     h = _block_polynomial(p, k, modulus)
     g, n = h, 1  # g = G_n
     for bit in bin(q)[3:]:
-        g = _cut_product(g, _shift(g, n, modulus), modulus)
+        g = cut_product(g, _shift(g, n, modulus), modulus)
         n *= 2
         if bit == "1":
-            g = _cut_product(g, _shift(h, n, modulus), modulus)
+            g = cut_product(g, _shift(h, n, modulus), modulus)
             n += 1
     return g[0]
 

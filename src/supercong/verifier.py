@@ -3,8 +3,9 @@
 Every check is a pure function prime -> CheckOutcome, so a sweep parallelizes
 over primes with no shared state; a check that raises becomes a fail outcome
 naming the exception.  The truncated series whose parameters do not depend
-on p are summed once per sweep, before any task runs, and handed to each
-check as an optional argument that it would otherwise compute itself.
+on p are summed once per sweep, before any task runs, and the Pochhammer
+symbols of b4, b6 and c5 are read off one tree of (1+y)_n; each is handed
+to its check as an optional argument that it would otherwise compute itself.
 Outcomes are merged by a deterministic sort, making a Report independent of
 the worker count.  Residues are rendered as decimal strings in reports to
 avoid integer-width ambiguity in consumers.
@@ -23,10 +24,11 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
-from typing import Collection, Iterable, Optional
+from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .eta import TABLE_MAX_BOUND, a_p
 from .exact import (
+    TRACE_I,
     TRACE_OMEGA,
     ConjugatePair,
     ResidueInt,
@@ -34,6 +36,7 @@ from .exact import (
     half_harmonic2,
     pochhammer_mod,
     reduce_mod,
+    rising_coefficients,
 )
 
 # unused by the checks, but perfbench/tracing.py wraps every name it lists in this module
@@ -206,33 +209,53 @@ def check_swisher(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
     return _residue_outcome(CheckId.A3_SWISHER, p, lhs, rhs)
 
 
-def check_b4(p: int) -> CheckOutcome:
+def check_b4(p: int, symbols: Optional[tuple[ResidueInt, ...]] = None) -> CheckOutcome:
     """(1/2)_m ((1-p)/2)_m / [(1+wp/2)_m (1+w^2p/2)_m] = 1 mod p^3, m = (p-1)/2.
 
     The conjugate-pair denominator is prod_{j<=m} (j^2 - (p/2) j + p^2/4);
     every factor of the three products is a p-unit, so all of them are
     multiplied mod p^3.
+
+    symbols, when given, are these three symbols mod p^3 from the sweep's
+    batch (``series_sides``), read off (1+y)_m and (1+y)_{2m}; otherwise they
+    are multiplied here.  b6 and c5 take their symbols the same way.
     """
     if p < 5:
         return _skip(CheckId.B4, p, "requires p >= 5")
     m = (p - 1) // 2
-    num = pochhammer_mod(F(1, 2), m, p, 3) * pochhammer_mod(F(1 - p, 2), m, p, 3)
-    den = pochhammer_mod(ConjugatePair(F(1), F(p, 2), TRACE_OMEGA), m, p, 3)
-    lhs = num * den.inverse()
+    if symbols is None:
+        symbols = (
+            pochhammer_mod(F(1, 2), m, p, 3),
+            pochhammer_mod(F(1 - p, 2), m, p, 3),
+            pochhammer_mod(ConjugatePair(F(1), F(p, 2), TRACE_OMEGA), m, p, 3),
+        )
+    half, shifted, pair = symbols
+    lhs = half * shifted * pair.inverse()
     return _residue_outcome(CheckId.B4, p, lhs, ResidueInt(1, p, 3))
 
 
-def check_b6(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
+def check_b6(
+    p: int,
+    series: Optional[ResidueInt] = None,
+    symbols: Optional[tuple[ResidueInt, ...]] = None,
+) -> CheckOutcome:
     """(1+p/2)_m (1-p/2)_m / (1)_m^2 = 1 mod p^3, and the sharper Taylor form
     1 - (p^2/4) sum_{j<=m} 1/j^2 mod p^4.  Every factor is a p-unit.
 
-    series, when given, is that sum mod p^4 from the sweep's batch.
+    series, when given, is that sum mod p^4 from the sweep's batch, and
+    symbols its three Pochhammer symbols mod p^4, read off (1+y)_m at y = p/2, -p/2, 0.
     """
     if p < 5:
         return _skip(CheckId.B6, p, "requires p >= 5")
     m = (p - 1) // 2
-    num = pochhammer_mod(1 + F(p, 2), m, p, 4) * pochhammer_mod(1 - F(p, 2), m, p, 4)
-    lhs = num * pochhammer_mod(1, m, p, 4).inverse() ** 2
+    if symbols is None:
+        symbols = (
+            pochhammer_mod(1 + F(p, 2), m, p, 4),
+            pochhammer_mod(1 - F(p, 2), m, p, 4),
+            pochhammer_mod(1, m, p, 4),
+        )
+    plus, minus, factorial = symbols
+    lhs = plus * minus * factorial.inverse() ** 2
     if series is None:
         series = half_harmonic2(p, 4)
     rhs = 1 - reduce_mod(F(p * p, 4), p, 4) * series
@@ -247,14 +270,18 @@ def check_b6(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
     return CheckOutcome(CheckId.B6, p, "fail", lhs, rhs, lhs.modulus, "; ".join(note))
 
 
-def check_c5(p: int) -> CheckOutcome:
+def check_c5(p: int, symbols: Optional[tuple[ResidueInt, ResidueInt]] = None) -> CheckOutcome:
     """The rational closed form of the quartic specialization equals
-    -(p^3/16) Gamma_p(1/4)^4 mod p^4 for p = 3 (mod 4)."""
+    -(p^3/16) Gamma_p(1/4)^4 mod p^4 for p = 3 (mod 4).
+
+    symbols, when given, are the closed form's two i-pair symbols mod p^4
+    (``c3_rhs_closed``), read off (1+y)_n at n = q-1, q, 2q, q = (p+1)/4.
+    """
     if p % 4 != 3:
         return _skip(CheckId.C5, p, "p != 3 (mod 4)")
     if p < 7:
         return _skip(CheckId.C5, p, "requires p >= 7")
-    lhs = c3_rhs_closed(p, 4)
+    lhs = c3_rhs_closed(p, 4, symbols)
     rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
     return _residue_outcome(CheckId.C5, p, lhs, rhs)
 
@@ -345,31 +372,146 @@ _SUMS_SERIES_AT = {
 }
 
 
+def _rising_value(f: list[int], y: int, modulus: int) -> int:
+    """sum_d f_d y^d mod modulus: (1+y)_n from its coefficients f (``rising_coefficients``)."""
+    value = 0
+    for c in reversed(f):
+        value = (value * y + c) % modulus
+    return value
+
+
+def _pair_value(f: list[int], y: int, trace: int, modulus: int) -> int:
+    """(1+zeta*y)_n (1+zeta'*y)_n mod p^k, for y = 0 mod p, zeta + zeta' = trace, zeta*zeta' = 1.
+
+    With s_j = zeta^j + zeta^-j (s_0 = 2, s_1 = trace, s_j = trace*s_{j-1} - s_{j-2})
+    the product of sum_d f_d (zeta*y)^d and its conjugate is
+    sum_d f_d^2 y^(2d) + sum_{d<e} f_d f_e s_{e-d} y^(d+e); the terms with
+    d + e >= len(f) vanish mod p^k.
+    """
+    s = [2, trace]
+    while len(s) < len(f):
+        s.append(trace * s[-1] - s[-2])
+    value = 0
+    for d in range(len(f)):
+        for e in range(d, len(f) - d):
+            value += f[d] * f[e] * (1 if e == d else s[e - d]) * y ** (d + e)
+    return value % modulus
+
+
+def _b4_symbols(p: int, k: int, f_m: list[int], f_2m: list[int]) -> tuple[ResidueInt, ...]:
+    """check_b4's symbols from F_n = (1+y)_n: (1/2)_m = F_2m(0) / (4^m F_m(0)),
+    ((1-p)/2)_m = F_2m(-p) / (4^m F_m(-p/2)) and the omega pair F_m(wp/2) F_m(w^2 p/2)."""
+    modulus = p**k
+    half_p = p * pow(2, -1, modulus) % modulus
+    four_m = pow(4, (p - 1) // 2, modulus)
+    half = f_2m[0] * pow(four_m * f_m[0], -1, modulus)
+    shifted = _rising_value(f_2m, -p, modulus) * pow(
+        four_m * _rising_value(f_m, -half_p, modulus), -1, modulus
+    )
+    pair = _pair_value(f_m, half_p, TRACE_OMEGA, modulus)
+    return tuple(ResidueInt(x, p, k) for x in (half, shifted, pair))
+
+
+def _b6_symbols(p: int, k: int, f_m: list[int]) -> tuple[ResidueInt, ...]:
+    """check_b6's symbols (1+p/2)_m, (1-p/2)_m and m!: F_m = (1+y)_m at y = p/2, -p/2 and 0."""
+    modulus = p**k
+    half_p = p * pow(2, -1, modulus) % modulus
+    return tuple(ResidueInt(_rising_value(f_m, y, modulus), p, k) for y in (half_p, -half_p, 0))
+
+
+def _c5_symbols(
+    p: int, k: int, f_q1: list[int], f_q: list[int], f_2q: list[int]
+) -> tuple[ResidueInt, ...]:
+    """check_c5's symbols from F_n = (1+y)_n and the i pair N(F)(y) = F(iy) F(-iy):
+    (A)_{q-1} = N(F_{q-1})(p/4) and (B)_q = N(F_2q)(p/2) / (16^q N(F_q)(p/4))."""
+    modulus = p**k
+    quarter_p = p * pow(4, -1, modulus) % modulus
+    num_symbol = _pair_value(f_q1, quarter_p, TRACE_I, modulus)
+    den = pow(16, (p + 1) // 4, modulus) * _pair_value(f_q, quarter_p, TRACE_I, modulus)
+    den_symbol = _pair_value(f_2q, 2 * quarter_p, TRACE_I, modulus) * pow(den, -1, modulus)
+    return ResidueInt(num_symbol, p, k), ResidueInt(den_symbol, p, k)
+
+
+class _RisingPlan(NamedTuple):
+    """How a check reads its Pochhammer symbols off (1+y)_n."""
+
+    reads_at: Callable[[int], bool]  # the primes at which the check computes them
+    k: int  # the precision of the symbols
+    positions: Callable[[int], tuple[int, ...]]  # the n it reads at p
+    symbols: Callable[..., tuple[ResidueInt, ...]]  # (p, k, coefficients at each n) -> symbols
+
+
+_RISING_PLANS = {
+    CheckId.B4: _RisingPlan(lambda p: p >= 5, 3, lambda p: (p // 2, p - 1), _b4_symbols),
+    CheckId.B6: _RisingPlan(lambda p: p >= 5, 4, lambda p: (p // 2,), _b6_symbols),
+    CheckId.C5: _RisingPlan(lambda p: p % 4 == 3 and p >= 7, 4,
+                            lambda p: ((p - 3) // 4, (p + 1) // 4, (p + 1) // 2), _c5_symbols),
+}
+
+
+def rising_symbols(
+    primes: list[int], checks: Collection[CheckId]
+) -> dict[CheckId, dict[int, tuple[ResidueInt, ...]]]:
+    """The Pochhammer symbols of each selected check, {check: {p: symbols}}, from one tree.
+
+    Every position of every prime is a leaf of one ``rising_coefficients``
+    call, at the largest precision K that a selected check reads and with
+    modulus p^K.  Symbols read at fewer than two primes are not batched.
+    """
+    wanted = {c: [p for p in primes if plan.reads_at(p)]
+              for c, plan in _RISING_PLANS.items() if c in checks}
+    if len(set().union(*wanted.values())) < 2:
+        return {}
+    k = max(_RISING_PLANS[c].k for c, ps in wanted.items() if ps)
+    leaves = sorted({(n, p) for c, ps in wanted.items()
+                     for p in ps for n in _RISING_PLANS[c].positions(p)})
+    coefficients = dict(zip(leaves, rising_coefficients([(n, p**k) for n, p in leaves], k)))
+    symbols = {}
+    for check, ps in wanted.items():
+        plan = _RISING_PLANS[check]
+        symbols[check] = {
+            p: plan.symbols(p, plan.k, *(coefficients[n, p] for n in plan.positions(p))) for p in ps
+        }
+    return symbols
+
+
 def series_sides(
     primes: list[int], checks: Collection[CheckId]
-) -> dict[CheckId, dict[int, ResidueInt]]:
-    """The series side of each selected check, {check: {p: residue}}, one batch per series.
+) -> dict[CheckId, dict[int, tuple]]:
+    """The batched optional arguments of each selected check, {check: {p: args}}.
 
+    A check's optional arguments are its series side and then its Pochhammer
+    symbols; one it does not take is absent and one not batched at p is None.
     Each series is summed by ``pfq_residues`` at every prime that one of its
     checks reads, at the largest precision they read, and reduced for each
     check.  A prime whose sum raised is left out, so its check sums the side
     itself and fails exactly as it would alone.  A series read at fewer than
-    two primes is not batched: a tree of one leaf shares nothing.
+    two primes is not batched: a tree of one leaf shares nothing.  The
+    symbols of b4, b6 and c5 come from ``rising_symbols``.
     """
-    sides = {}
+    sums = {}
     for spec_at, e, precisions in _BATCHED_SERIES:
         wanted = {c: [p for p in primes if _SUMS_SERIES_AT[c](p)] for c in precisions if c in checks}
         family = sorted(set().union(*wanted.values()))
         if len(family) < 2:
             continue
         k = max(precisions[c] for c, ps in wanted.items() if ps)
-        sums = dict(zip(family, pfq_residues(spec_at, family, k, e)))
+        residues = dict(zip(family, pfq_residues(spec_at, family, k, e)))
         for check, ps in wanted.items():
-            sides[check] = {
-                p: ResidueInt(sums[p].value, p, precisions[check])
+            sums[check] = {
+                p: ResidueInt(residues[p].value, p, precisions[check])
                 for p in ps
-                if isinstance(sums[p], ResidueInt)
+                if isinstance(residues[p], ResidueInt)
             }
+    symbols = rising_symbols(primes, checks)
+    sides = {}
+    for check in checks:
+        batches = [batch.get(check, {})
+                   for batch, takes in ((sums, _SUMS_SERIES_AT), (symbols, _RISING_PLANS))
+                   if check in takes]
+        read = set().union(*batches)
+        if read:
+            sides[check] = {p: tuple(batch.get(p) for batch in batches) for p in sorted(read)}
     return sides
 
 
@@ -408,8 +550,9 @@ def run_suite(
     The outcome list is sorted by (check, p, note) and is identical for any
     worker count.  Skipped hypotheses are recorded, never dropped.  Before
     any task runs, and before a pool starts, the calling process sums each
-    series side once for all primes (``series_sides``); a task carries its
-    side as the check's second argument.
+    series side and reads the Pochhammer symbols once for all primes
+    (``series_sides``); a task carries them as the check's optional
+    arguments.
     """
     checks = frozenset(checks)
     if not checks:
@@ -431,7 +574,7 @@ def run_suite(
             tasks.extend((check, (n, y)) for n in range(C1_MAX_N + 1) for y in C1_SAMPLE_YS)
         else:
             side = sides.get(check, {})
-            tasks.extend((check, (p, side[p]) if p in side else (p,)) for p in primes)
+            tasks.extend((check, (p, *side[p]) if p in side else (p,)) for p in primes)
 
     if workers == 1:
         outcomes = [_run_task(t) for t in tasks]

@@ -246,3 +246,14 @@ def test_criterion_16_a1_a2_to_ten_thousand():
     assert elapsed < 10.0
     report(16, f"a1 and a2 hold at all 2455 of their primes up to 10^4 "
                f"({elapsed:.1f}s single-threaded, each series summed once per sweep)")
+
+
+def test_criterion_17_b4_b6_to_ten_thousand():
+    start = time.perf_counter()
+    suite = run_suite(5, 10**4, {CheckId.B4, CheckId.B6}, workers=1)
+    elapsed = time.perf_counter() - start
+    # both checks at each of the 1227 primes in 5..10^4
+    assert suite.summary == {"pass": 2454, "fail": 0, "skipped": 0}
+    assert elapsed < 2.0
+    report(17, f"b4 and b6 hold at all 1227 primes in 5..10^4 "
+               f"({elapsed:.1f}s single-threaded, their symbols read off one tree per sweep)")

@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -23,6 +25,7 @@ from supercong.exact import (
     pochhammer_pair,
     product_tree,
     reduce_mod,
+    rising_coefficients,
     vp,
 )
 from supercong.verifier import primes_between
@@ -292,3 +295,53 @@ class TestPochhammerMod:
     def test_denominator_divisible_by_p_is_rejected(self):
         with pytest.raises(NegativeValuation):
             pochhammer_mod(F(1, 3), 2, 3, 2)
+
+
+@functools.cache
+def rising_polys():
+    """prod_{s=1}^{n} (y + s) multiplied out in full, for n = 0..1000."""
+    polys = [[1]]
+    for s in range(1, 1001):
+        f = polys[-1]
+        polys.append([a * s + b for a, b in zip(f + [0], [0] + f)])
+    return polys
+
+
+def rising_poly(n, k):
+    """The k lowest coefficients of (1+y)_n, from the full product: the oracle."""
+    return (rising_polys()[n] + [0] * k)[:k]
+
+
+class TestRisingCoefficients:
+    def test_every_position_to_300(self):
+        rng = random.Random(10)
+        for k in (1, 3, 4, 6):
+            leaves = [(n, rng.randrange(2, 10**12)) for n in range(301)]
+            for (n, modulus), f in zip(leaves, rising_coefficients(leaves, k)):
+                assert f == [c % modulus for c in rising_poly(n, k)], (n, k)
+
+    def test_sorted_random_leaves_with_repeats(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            ns = sorted(rng.choices(range(0, 300), k=rng.randint(2, 60)))
+            leaves = [(n, rng.choice([7**4, 2**61 - 1, rng.randrange(2, 10**30)])) for n in ns]
+            for (n, modulus), f in zip(leaves, rising_coefficients(leaves, 4)):
+                assert f == [c % modulus for c in rising_poly(n, 4)], n
+
+    def test_repeated_positions_give_the_same_product(self):
+        leaves = [(50, 11**4), (50, 13**4), (50, 11**4), (80, 11**4), (80, 11**4)]
+        out = rising_coefficients(leaves, 4)
+        assert out[0] == out[2] == [c % 11**4 for c in rising_poly(50, 4)]
+        assert out[1] == [c % 13**4 for c in rising_poly(50, 4)]
+        assert out[3] == out[4] == [c % 11**4 for c in rising_poly(80, 4)]
+
+    def test_one_leaf_and_none(self):
+        assert rising_coefficients([], 4) == []
+        assert rising_coefficients([(0, 5**3)], 3) == [[1, 0, 0]]
+        assert rising_coefficients([(1000, 10**40)], 5) == [[c % 10**40 for c in rising_poly(1000, 5)]]
+
+    def test_rejects_unsorted_or_negative_positions(self):
+        with pytest.raises(ValueError):
+            rising_coefficients([(5, 7), (4, 7)], 3)
+        with pytest.raises(ValueError):
+            rising_coefficients([(-1, 7)], 3)

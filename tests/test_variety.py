@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from supercong.variety import (
+    NARROW_SLOT_MAX_P,
     TooLarge,
     brute_force_N,
     count_N,
@@ -76,6 +77,15 @@ class TestCountN:
 
     def test_matches_the_convolution_at_10007(self):
         assert count_N(10007) == convolved_N(10007)
+
+    # 16381 is the last prime with 2-byte slots and 16411 the first with 4-byte slots
+    @pytest.mark.parametrize("p", [16381, 16411])
+    def test_matches_the_convolution_on_both_sides_of_the_slot_width(self, p):
+        assert count_N(p) == convolved_N(p)
+
+    def test_slot_width_changes_between_16381_and_16411(self):
+        assert NARROW_SLOT_MAX_P == 16383 and 4 * NARROW_SLOT_MAX_P < 2**16
+        assert primes_between(16382, 16410) == []
 
     @pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15, 25, 49, 121, 10001])
     def test_rejects_non_odd_prime(self, p):

@@ -15,6 +15,7 @@ from supercong.exact import (
     half_harmonic2,
     is_prime,
     pochhammer,
+    pochhammer_mod,
     reduce_mod,
     vp,
 )
@@ -44,9 +45,12 @@ from supercong.verifier import (
     series_sides,
 )
 
-# the checks whose series side a sweep sums for all primes at once
+# the checks whose Pochhammer symbols a sweep reads off one tree for all primes at once
+PRODUCTS = {CheckId.B4, CheckId.B6, CheckId.C5}
+
+# the checks with a side that a sweep computes for all primes at once
 BATCHED = {CheckId.A1, CheckId.A2, CheckId.A3, CheckId.A4, CheckId.A3_SWISHER,
-           CheckId.B6, CheckId.WOLSTENHOLME}
+           CheckId.WOLSTENHOLME} | PRODUCTS
 
 
 class TestPrimesBetween:
@@ -224,6 +228,19 @@ class TestRunSuite:
         assert default_workers() == 1
 
 
+def direct_symbols(check, p):
+    """The Pochhammer symbols check_b4, check_b6 or check_c5 multiplies by itself at p."""
+    m, q = (p - 1) // 2, (p + 1) // 4
+    if check is CheckId.B4:
+        return (pochhammer_mod(F(1, 2), m, p, 3), pochhammer_mod(F(1 - p, 2), m, p, 3),
+                pochhammer_mod(ConjugatePair(F(1), F(p, 2), TRACE_OMEGA), m, p, 3))
+    if check is CheckId.B6:
+        return (pochhammer_mod(1 + F(p, 2), m, p, 4), pochhammer_mod(1 - F(p, 2), m, p, 4),
+                pochhammer_mod(1, m, p, 4))
+    return (pochhammer_mod(ConjugatePair(F(1), F(p, 4), TRACE_I), q - 1, p, 4),
+            pochhammer_mod(ConjugatePair(F(1, 2), F(p, 4), TRACE_I), q, p, 4))
+
+
 class TestBatchedSides:
     def test_sides_match_the_single_prime_sums(self):
         primes = primes_between(2, 400)
@@ -238,17 +255,31 @@ class TestBatchedSides:
             CheckId.WOLSTENHOLME: lambda p: half_harmonic2(p, 1),
         }
         assert sides.keys() == BATCHED
-        for check, side in sides.items():
-            assert side and side == {p: single[check](p) for p in side}, check
+        for check, sum_at in single.items():
+            side = sides[check]
+            assert side and {p: args[0] for p, args in side.items()} == {p: sum_at(p) for p in side}, check
         # the primes each check would skip are left out
         assert min(sides[CheckId.A2]) == 5 and 2 not in sides[CheckId.A1]
         assert all(p % 4 == 1 and p <= verifier.SWISHER_MAX_P for p in sides[CheckId.A3_SWISHER])
+        assert sorted(sides[CheckId.C5]) == [p for p in primes if p % 4 == 3 and p >= 7]
+        assert sorted(sides[CheckId.B4]) == sorted(sides[CheckId.B6]) == primes_between(5, 400)
 
     def test_sweep_reads_the_batched_side(self, monkeypatch):
         monkeypatch.setattr(verifier, "pfq_residues",
                             lambda spec_at, primes, k, e=0: [ResidueInt(0, p, k) for p in primes])
         report = run_suite(3, 40, {CheckId.A1}, workers=1)
         assert [o.rhs_residue for o in report.outcomes] == [ResidueInt(0, o.p, 3) for o in report.outcomes]
+
+    def test_sweep_reads_the_batched_symbols(self, monkeypatch):
+        # (1+y)_n = 1 at every leaf makes every symbol 1 except the 4^-m and 16^-q scales
+        monkeypatch.setattr(verifier, "rising_coefficients",
+                            lambda leaves, k: [[1] + [0] * (k - 1) for _ in leaves])
+        report = run_suite(3, 40, {CheckId.B6}, workers=1)
+        assert [o.lhs_residue for o in report.outcomes if o.p >= 5] == [
+            ResidueInt(1, p, 4) for p in primes_between(5, 40)]
+        report = run_suite(3, 40, {CheckId.B4}, workers=1)
+        assert [o.lhs_residue for o in report.outcomes if o.p >= 5] == [
+            ResidueInt(16, p, 3).inverse() ** ((p - 1) // 2) for p in primes_between(5, 40)]
 
     def test_prime_left_out_of_the_batch_is_a_direct_call(self, monkeypatch):
         real = verifier.pfq_residues
@@ -261,18 +292,52 @@ class TestBatchedSides:
         monkeypatch.setattr(verifier, "pfq_residues", raise_at_second)
         sides = series_sides(primes_between(3, 60), BATCHED)
         assert 5 not in sides[CheckId.A1] and 3 in sides[CheckId.A1]
+        # the half harmonic sum starts at 5, so b6's series is left out at 7 but its symbols are not
+        assert sides[CheckId.B6][7] == (None, direct_symbols(CheckId.B6, 7))
         report = run_suite(3, 60, BATCHED, workers=1)
         for outcome in report.outcomes:
             assert outcome == getattr(verifier, f"check_{outcome.check.value}")(outcome.p)
 
+    @pytest.mark.parametrize("lo, hi", [(3, 400), (10000, 10100)])
+    def test_batched_rows_are_the_direct_rows(self, lo, hi):
+        report = run_suite(lo, hi, PRODUCTS | {CheckId.WOLSTENHOLME}, workers=1)
+        assert len(report.outcomes) == 4 * len(primes_between(lo, hi))
+        for outcome in report.outcomes:
+            assert outcome == getattr(verifier, f"check_{outcome.check.value}")(outcome.p)
+
     def test_direct_call_with_and_without_the_side(self):
-        sides = series_sides([2111, 2113], {CheckId.A1})[CheckId.A1]
-        for p, side in sides.items():
-            assert check_a1(p, side) == check_a1(p)
+        sides = series_sides([2111, 2113], {CheckId.A1, CheckId.B4, CheckId.B6})
+        for p in (2111, 2113):
+            assert check_a1(p, *sides[CheckId.A1][p]) == check_a1(p)
+            assert check_b4(p, *sides[CheckId.B4][p]) == check_b4(p)
+            assert check_b6(p, *sides[CheckId.B6][p]) == check_b6(p)
 
     def test_one_prime_is_not_batched(self):
         assert series_sides([101], BATCHED) == {}
         assert series_sides([2, 3], {CheckId.A2}) == {}
+        assert series_sides([2, 3, 5], PRODUCTS) == {}
+        assert series_sides([5, 7], {CheckId.C5}) == {}
+
+
+class TestRisingSymbols:
+    """Each batched symbol against pochhammer_mod.  b4's ratio is 1 by the theorem,
+    so only the symbols one by one show a wrong tree."""
+
+    @pytest.mark.parametrize("lo, hi", [(3, 3000), (10000, 10100)])
+    def test_every_symbol_matches_pochhammer_mod(self, lo, hi):
+        primes = primes_between(lo, hi)
+        together = verifier.rising_symbols(primes, PRODUCTS)
+        alone = {check: verifier.rising_symbols(primes, {check})[check] for check in PRODUCTS}
+        for check in PRODUCTS:
+            assert together[check].keys() == alone[check].keys()
+            for p, symbols in together[check].items():
+                direct = direct_symbols(check, p)
+                assert len(symbols) == len(direct)
+                for i, (batched, single) in enumerate(zip(symbols, direct)):
+                    assert batched == single, (check, p, i)
+                    assert alone[check][p][i] == single, (check, p, i)
+        assert sorted(together[CheckId.B4]) == sorted(together[CheckId.B6]) == [p for p in primes if p >= 5]
+        assert sorted(together[CheckId.C5]) == [p for p in primes if p % 4 == 3 and p >= 7]
 
 
 class TestDispatch:
