@@ -21,6 +21,7 @@ from .hypergeom import (
     GuardExceeded,
     IdentityOutcome,
     PoleParameter,
+    SeriesFamily,
     SeriesSpec,
     ZeroDenominatorPochhammer,
     bailey_b1_check,

@@ -6,7 +6,7 @@ are plain integers with a(1) = 1 and a(n) = 0 for even n.
 E(x) = prod(1-x^n)^4 is built as the product of two sparse series with
 O(sqrt(B)) terms each: Euler's pentagonal series for prod(1-x^n) and
 Jacobi's series for prod(1-x^n)^3.  With x = q^2 the body of the eta product
-is E(x) * E(x^2), one int64 convolution.  The dense factor-by-factor product
+is E(x) * E(x^2), two int64 convolutions.  The dense factor-by-factor product
 in pure Python, O(B^2), is kept in the tests as the oracle for this table.
 """
 
@@ -57,8 +57,11 @@ def f_coefficients(bound: int) -> tuple[int, ...]:
     """Coefficients a(0..bound) of the eta product, a(0) = 0 and a(1) = 1.
 
     a(2i+1) is the x^i coefficient of E(x) * E(x^2), E = prod(1-x^m)^4, for
-    i <= h = (bound-1) // 2.  That product is one int64 ``np.convolve``, and
-    it cannot overflow for bound <= TABLE_MAX_BOUND = 2^19:
+    i <= h = (bound-1) // 2.  The even and the odd i are one int64
+    ``np.convolve`` each, of the e_m with m of that parity against the
+    e_l with l <= h/2; that is half the products of convolving with a
+    zero-padded E(x^2), and each coefficient is the same sum.  It cannot
+    overflow for bound <= TABLE_MAX_BOUND = 2^19:
 
     - The x^m coefficient e_m of E is a sum over the pentagonal exponents
       g <= m, each paired with at most one triangular exponent m - g, of a
@@ -79,9 +82,11 @@ def f_coefficients(bound: int) -> tuple[int, ...]:
         raise TooLarge(f"eta table bound {bound} exceeds the int64 bound {TABLE_MAX_BOUND}")
     half = (bound - 1) // 2
     e = _fourth_power(half)
-    e_squared = np.zeros(half + 1, dtype=np.int64)  # E(x^2)
-    e_squared[::2] = e[: half // 2 + 1]
-    body = np.convolve(e, e_squared)[: half + 1].tolist()
+    low = e[: half // 2 + 1]  # the e_l that some i <= h reads
+    body = [0] * (half + 1)
+    # x^i for i = 2t + r is sum_l e_{2(t-l)+r} e_l: e[r::2] convolved with low
+    for r in range(min(2, half + 1)):  # h = 0 has no odd i
+        body[r::2] = np.convolve(e[r::2], low)[: len(body[r::2])].tolist()
     out = [0] * (bound + 1)
     out[1::2] = body
     return tuple(out)

@@ -9,10 +9,14 @@ no cyclotomic arithmetic is needed.  Congruence between rationals is
 valuation-based: x = y (mod p^k) means vp(x - y) >= k.
 
 Every Pochhammer symbol is computed from its factors cleared of their
-denominator to integers (``cleared_factor``).  Over Q, ``pochhammer_pair``
-multiplies them into one unreduced (numerator, denominator) pair; the
-identity checks use the pair, and ``pochhammer`` reduces it to a
-``Fraction``.  The congruence checks work in Z/p^k throughout and multiply
+denominator to integers (``cleared_factor``).  Over Q the n factors of
+(param)_n are one integer progression, built in C by
+``cleared_progression``: a ``range`` for a rational parameter, a ``map``
+over ranges for a pair's quadratic.  ``pochhammer_pair`` multiplies it by a
+product tree into one unreduced (numerator, denominator) pair; the identity
+checks use the pair, and ``pochhammer`` reduces it to a ``Fraction``.  The
+series of ``hypergeom`` build their step factors from the same
+progressions.  The congruence checks work in Z/p^k throughout and multiply
 only residues (``pochhammer_mod``, ``half_harmonic2``); there the exact
 symbol is the test oracle.
 
@@ -34,7 +38,8 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
+from operator import mul
+from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -206,8 +211,12 @@ class ConjugatePair:
         u, y = Fraction(self.u), Fraction(self.y)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "linear", 2 * u + self.trace * y)
-        object.__setattr__(self, "constant", u * (u + self.trace * y) + y * y)
+        # with u = a/b and y = c/d, linear is 2u + trace*y over b*d and
+        # constant u(u + trace*y) + y^2 over (b*d)^2; integers, one gcd each
+        a, b, c, d = u.numerator, u.denominator, y.numerator, y.denominator
+        shifted = a * d + self.trace * c * b  # (u + trace*y) * b*d
+        object.__setattr__(self, "linear", Fraction(a * d + shifted, b * d))
+        object.__setattr__(self, "constant", Fraction(a * d * shifted + (c * b) ** 2, (b * d) ** 2))
 
     def factor(self, k: int) -> Fraction:
         """(u + k + y*zeta)(u + k + y*zeta')."""
@@ -225,13 +234,35 @@ def cleared_factor(param: Union[RationalLike, ConjugatePair]) -> tuple[tuple[int
     times the least common denominator of its coefficients.
     """
     if isinstance(param, ConjugatePair):
-        den = math.lcm(param.linear.denominator, param.constant.denominator)
-        return (int(param.constant * den), int(param.linear * den), den), den
-    param = Fraction(param)
+        linear, constant = param.linear, param.constant
+        den = math.lcm(linear.denominator, constant.denominator)
+        c0 = constant.numerator * (den // constant.denominator)
+        return (c0, linear.numerator * (den // linear.denominator), den), den
     return (param.numerator, param.denominator, 0), param.denominator
 
 
-def product_tree(factors: list[int]) -> int:
+class Progression(NamedTuple):
+    """The factors f(0), ..., f(n-1) of (param)_n cleared to integers, and their denominator."""
+
+    factors: Sequence[int]
+    den: int
+
+
+def cleared_progression(param: Union[RationalLike, ConjugatePair], n: int) -> Progression:
+    """The factors f(0), ..., f(n-1) of (param)_n cleared by ``cleared_factor``, and its d.
+
+    A rational a/d gives the arithmetic progression a, a+d, ..., as a
+    ``range``; a ``ConjugatePair`` gives its quadratic c0 + j*(c1 + j*c2) as
+    one ``map`` over two ranges.  Both iterate in C, with no Python step per
+    factor.
+    """
+    (c0, c1, c2), den = cleared_factor(param)
+    if not c2:
+        return Progression(range(c0, c0 + n * c1, c1), den)
+    return Progression(list(map(c0.__add__, map(mul, range(n), range(c1, c1 + n * c2, c2)))), den)
+
+
+def product_tree(factors: Sequence[int]) -> int:
     """The product of the ints, multiplied pairwise level by level.
 
     Operands of each product have about the same size, so the cost is
@@ -241,7 +272,8 @@ def product_tree(factors: list[int]) -> int:
     if not factors:
         return 1
     while len(factors) > 1:
-        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [*map(mul, factors[::2], factors[1::2]), *odd]
     return factors[0]
 
 
@@ -331,8 +363,8 @@ def pochhammer_pair(param: Union[RationalLike, ConjugatePair], n: int) -> tuple[
     """Integers (num, den), not reduced, with num / den = (param)_n: the cleared factors over d^n."""
     if n < 0:
         raise ValueError("pochhammer index must be >= 0")
-    (c0, c1, c2), den = cleared_factor(param)
-    return product_tree([c0 + j * (c1 + j * c2) for j in range(n)]), den**n
+    factors, den = cleared_progression(param, n)
+    return product_tree(factors), den**n
 
 
 def pochhammer_mod(

@@ -9,17 +9,23 @@ quadratic factor, so every sum stays in Q.
 There are three evaluators.  ``pfq_pair`` sums a series exactly by binary
 splitting: the step ratio is cleared to integers P(j) / Q(j), and a product
 tree over the steps gives the sum as one unreduced integer pair, with no gcd
-per term.  It serves the exact identities (b1, c1, c3), which compare their
+per term.  P and Q are built whole, not step by step: each parameter's
+cleared factors over j < n are one integer progression
+(``exact.cleared_progression``, iterated in C), and the step factors are the
+progressions multiplied pointwise with ``map(mul, ...)``; b1 shares its top
+progressions between its two series and its prefactor.  ``pfq_pair``
+serves the exact identities (b1, c1, c3), which compare their
 two sides by cross-multiplication, and ``pfq_truncated``, the reduced
 ``Fraction`` for ``supercong hyper`` and the tests; ``pfq_truncated_reference``
 (from Pochhammer symbols, term by term) is its oracle.  ``pfq_residue`` is
 the single-prime path for the congruence checks: it runs the same recurrence
-over integers, carrying each term as p^v times a unit mod p^(k+guard), so no
-O(p^2)-bit denominator is ever formed; ``pfq_truncated`` reduced mod p^k is
-its test oracle.  ``pfq_residues`` serves a sweep: for a family whose
-parameters do not depend on p, one accumulating remainder tree
-(``exact.remainder_tree``) over the same step factors gives the residue at
-every prime of the sweep, and ``pfq_residue`` is its oracle.  On top of the
+over integers, one step at a time, carrying each term as p^v times a unit
+mod p^(k+guard), so no O(p^2)-bit denominator is ever formed;
+``pfq_truncated`` reduced mod p^k is its test oracle.  ``pfq_residues``
+serves a sweep: a ``SeriesFamily`` declares parameters that do not depend on
+p and a truncation index that does, and one accumulating remainder tree
+(``exact.remainder_tree``) over its step factors gives the residue at
+every prime of the sweep, with ``pfq_residue`` as its oracle.  On top of the
 evaluators sit the concrete sums and identity instances the verifier
 checks: Kilbourn's 4F3, the Theorem 1 4F3, the Van Hamme 6F5(-1), the half
 harmonic sum as a 3F2, Whipple's terminating 6F5 with its fully rational
@@ -32,6 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
+from typing import Callable
 
 from .exact import (
     TRACE_I,
@@ -39,10 +48,13 @@ from .exact import (
     ConjugatePair,
     NegativeValuation,
     ResidueInt,
+    Progression,
     cleared_factor,
+    cleared_progression,
     pochhammer,
     pochhammer_mod,
     pochhammer_pair,
+    product_tree,
     reduce_mod,
     remainder_tree,
 )
@@ -113,38 +125,50 @@ def _cleared(params) -> tuple[list[tuple[int, int, int]], int]:
 _LEAF_STEPS = 16
 
 
-def _step_factors(spec: SeriesSpec) -> tuple[list[int], list[int]]:
-    """Integers P(j), Q(j) with term j+1 = term j * P(j) / Q(j), for each step j to a nonzero term.
+def _progressions(params, n: int) -> list[Progression]:
+    """Each parameter's cleared factor progression over j < n (``cleared_progression``)."""
+    return [cleared_progression(param, n) for param in params]
 
-    P(j) = z_num * bottom_den * prod top_c(j) and
-    Q(j) = z_den * top_den * (j + 1) * prod bottom_c(j), from the cleared
-    factors.  The steps stop at a zero argument or the first vanishing top
-    factor, but every bottom factor up to the truncation index is still
-    tested: the first that vanishes, in j and then in parameter order,
-    raises ZeroDenominatorPochhammer.
+
+def _products(progressions: list[Progression], n: int, scale: int = 1) -> tuple[list[int], int]:
+    """[scale * prod of the factors f(j), for j < n], and the product of the denominators."""
+    out = repeat(scale, n)
+    for factors, _ in progressions:
+        out = map(mul, out, factors)
+    return list(out), math.prod(den for _, den in progressions)
+
+
+def _steps(
+    top: tuple[list[int], int], bottom: list[Progression], argument: Fraction, n: int
+) -> tuple[list[int], list[int]]:
+    """Integers P(j), Q(j) with term j+1 = term j * P(j) / Q(j), for each step j < n to a nonzero
+    term.
+
+    top is the product of the top progressions (``_products``), which a
+    caller may share between series.  P(j) = z_num * bottom_den * top(j) and
+    Q(j) = z_den * top_den * (j + 1) * prod of the bottom factors at j.  The
+    steps stop at a zero argument or the first vanishing top factor, but
+    every bottom factor up to n is still tested: the first that vanishes, in
+    j and then in parameter order, raises ZeroDenominatorPochhammer.
     """
-    top, top_den = _cleared(spec.top)
-    bottom, bottom_den = _cleared(spec.bottom)
-    p_scale = spec.argument.numerator * bottom_den
-    q_scale = spec.argument.denominator * top_den
-    ps, qs = [], []
-    live = p_scale != 0
-    for j in range(spec.terms):
-        q = q_scale * (j + 1)
-        for index, (c0, c1, c2) in enumerate(bottom):
-            x = c0 + j * (c1 + j * c2)
-            if not x:
-                raise ZeroDenominatorPochhammer(j + 1, index)
-            q *= x
-        if live:
-            p = p_scale
-            for c0, c1, c2 in top:
-                p *= c0 + j * (c1 + j * c2)
-            live = p != 0
-            if live:
-                ps.append(p)
-                qs.append(q)
+    top_product, top_den = top
+    qs, bottom_den = _products([(range(1, n + 1), 1), *bottom], n, argument.denominator * top_den)
+    if 0 in qs:
+        j = qs.index(0)
+        index = next(i for i, (factors, _) in enumerate(bottom) if not factors[j])
+        raise ZeroDenominatorPochhammer(j + 1, index)
+    ps = list(map((argument.numerator * bottom_den).__mul__, top_product))
+    if 0 in ps:
+        live = ps.index(0)
+        del ps[live:], qs[live:]
     return ps, qs
+
+
+def _step_factors(spec: SeriesSpec) -> tuple[list[int], list[int]]:
+    """``_steps`` of spec, from its parameters' progressions."""
+    n = spec.terms
+    return _steps(_products(_progressions(spec.top, n), n), _progressions(spec.bottom, n),
+                  spec.argument, n)
 
 
 def _compose(left: tuple[int, int, int], right: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -177,6 +201,11 @@ def _split(ps: list[int], qs: list[int], a: int, c: int, modulus: int = 0) -> tu
     return _reduce(node, modulus) if modulus else node
 
 
+def _sum_pair(ps: list[int], qs: list[int]) -> tuple[int, int]:
+    _, Q, T = _split(ps, qs, 0, len(ps))
+    return Q + T, Q
+
+
 def pfq_pair(spec: SeriesSpec) -> tuple[int, int]:
     """Integers (num, den), not reduced, with num / den = pfq_truncated(spec).
 
@@ -185,9 +214,7 @@ def pfq_pair(spec: SeriesSpec) -> tuple[int, int]:
     1 + T / Q with no gcd, so its cost is a few multiplications of the
     final size instead of one reduced ``Fraction`` per term.
     """
-    ps, qs = _step_factors(spec)
-    _, Q, T = _split(ps, qs, 0, len(ps))
-    return Q + T, Q
+    return _sum_pair(*_step_factors(spec))
 
 
 def pfq_truncated(spec: SeriesSpec) -> Fraction:
@@ -236,9 +263,9 @@ def _factor_product(coeffs, j: int, p: int, modulus: int) -> tuple[int, int, int
     return v, u, None
 
 
-def _guard(spec: SeriesSpec) -> int:
+def _guard(bottom) -> int:
     """The number of bottom parameters, a pair counting as two."""
-    return sum(2 if isinstance(b, ConjugatePair) else 1 for b in spec.bottom)
+    return sum(2 if isinstance(b, ConjugatePair) else 1 for b in bottom)
 
 
 def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
@@ -256,7 +283,7 @@ def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
     GuardExceeded when a term's valuation drops below -g, whichever comes
     first, and NegativeValuation when p^e times the sum is not p-integral.
     """
-    guard = _guard(spec)
+    guard = _guard(spec.bottom)
     precision = k + max(0, -e)  # of the sum itself, before the factor p^e
     modulus = p ** (precision + guard)
     top, top_den = _cleared(spec.top)
@@ -335,15 +362,31 @@ def _prefix_residue(node, p: int, k: int, e: int, guard: int, precision: int) ->
     return ResidueInt(total * pow(unit, -1, p**k), p, k)
 
 
-def pfq_residues(
-    spec_at, primes: list[int], k: int, e: int = 0
-) -> list[ResidueInt | NegativeValuation]:
-    """pfq_residue(spec_at(p), p, k, e) for every p of primes, from one remainder tree.
+@dataclass(frozen=True)
+class SeriesFamily:
+    """A truncated series whose parameters and argument are fixed and whose truncation depends on p.
 
-    The family spec_at must keep its parameters and argument for every p,
-    and its truncation index must never decrease along primes.  The step
-    factors are built once, for the largest truncation; the steps between
-    consecutive truncations form segments, summed by ``_split``, and
+    truncation(p) is the truncation index at p; ``at`` gives the single-prime
+    ``SeriesSpec`` and ``pfq_residues`` sums the family at many primes.
+    """
+
+    top: tuple[Fraction | ConjugatePair, ...]
+    bottom: tuple[Fraction | ConjugatePair, ...]
+    argument: Fraction
+    truncation: Callable[[int], int]
+
+    def at(self, p: int) -> SeriesSpec:
+        return SeriesSpec(self.top, self.bottom, self.argument, self.truncation(p))
+
+
+def pfq_residues(
+    family: SeriesFamily, primes: list[int], k: int, e: int = 0
+) -> list[ResidueInt | NegativeValuation]:
+    """pfq_residue(family.at(p), p, k, e) for every p of primes, from one remainder tree.
+
+    The family's truncation index must never decrease along primes.  The
+    step factors are built once, for the largest truncation; the steps
+    between consecutive truncations form segments, summed by ``_split``, and
     ``remainder_tree`` reduces the prefix of each p mod p^(k+g) (for e >= 0),
     with g the guard of ``pfq_residue``.  Nothing is divided before that, so a bottom factor
     divisible by p needs no valuation bookkeeping in the tree.
@@ -353,20 +396,18 @@ def pfq_residues(
     always equals pfq_residue's.  ZeroDenominatorPochhammer is raised for the
     whole family when a bottom factor vanishes before the largest truncation.
     """
-    specs = [spec_at(p) for p in primes]
-    if not specs:
+    if not primes:
         return []
-    first = specs[0]
-    for prev, spec in zip(specs, specs[1:]):
-        if (spec.top, spec.bottom, spec.argument) != (first.top, first.bottom, first.argument):
-            raise ValueError("the family changes its parameters or argument with p")
-        if spec.terms < prev.terms:
-            raise ValueError("the truncation index decreases along the primes")
-    guard = _guard(first)
+    terms = [family.truncation(p) for p in primes]
+    if terms[0] < 0:
+        raise ValueError("truncation index must be >= 0")
+    if any(b < a for a, b in zip(terms, terms[1:])):
+        raise ValueError("the truncation index decreases along the primes")
+    guard = _guard(family.bottom)
     precision = k + guard + max(0, -e)
     moduli = [p**precision for p in primes]
-    ps, qs = _step_factors(specs[-1])
-    ends = [min(spec.terms, len(ps)) for spec in specs]
+    ps, qs = _step_factors(family.at(primes[-1]))
+    ends = [min(n, len(ps)) for n in terms]
     # every prime reads the first segment, so it is needed only mod the product of all moduli
     segments = [_split(ps, qs, 0, ends[0], math.prod(moduli))]
     segments += [_split(ps, qs, a, b) for a, b in zip(ends, ends[1:])]
@@ -385,16 +426,26 @@ def pfq_residues(
 F = Fraction
 
 
+def _half_p_minus_1(p: int) -> int:
+    return (p - 1) // 2
+
+
+KILBOURN = SeriesFamily((F(1, 2),) * 4, (F(1),) * 3, F(1), _half_p_minus_1)
+
+
 def kilbourn_spec(p: int) -> SeriesSpec:
     """4F3[1/2,1/2,1/2,1/2; 1,1,1; 1] truncated at (p-1)/2."""
     if p % 2 == 0:
         raise ValueError("p must be odd")
-    return SeriesSpec((F(1, 2),) * 4, (F(1),) * 3, F(1), (p - 1) // 2)
+    return KILBOURN.at(p)
 
 
 def kilbourn_lhs(p: int, k: int) -> ResidueInt:
     """The Kilbourn sum mod p^k: congruent to a(p) mod p^3."""
     return pfq_residue(kilbourn_spec(p), p, k)
+
+
+THM1 = SeriesFamily((F(1, 2),) * 4, (F(1), F(3, 4), F(5, 4)), F(1), _half_p_minus_1)
 
 
 def thm1_spec(p: int) -> SeriesSpec:
@@ -405,7 +456,7 @@ def thm1_spec(p: int) -> SeriesSpec:
     """
     if p < 5:
         raise ValueError("requires p >= 5")
-    return SeriesSpec((F(1, 2),) * 4, (F(1), F(3, 4), F(5, 4)), F(1), (p - 1) // 2)
+    return THM1.at(p)
 
 
 def thm1_rhs(p: int, k: int) -> ResidueInt:
@@ -413,13 +464,16 @@ def thm1_rhs(p: int, k: int) -> ResidueInt:
     return pfq_residue(thm1_spec(p), p, k, e=1)
 
 
+VANHAMME = SeriesFamily(
+    (F(5, 4),) + (F(1, 2),) * 5, (F(1, 4),) + (F(1),) * 4, F(-1), _half_p_minus_1
+)
+
+
 def vanhamme_spec(p: int) -> SeriesSpec:
     """6F5[5/4,1/2,1/2,1/2,1/2,1/2; 1/4,1,1,1,1; -1] truncated at (p-1)/2."""
     if p % 2 == 0:
         raise ValueError("p must be odd")
-    return SeriesSpec(
-        (F(5, 4),) + (F(1, 2),) * 5, (F(1, 4),) + (F(1),) * 4, F(-1), (p - 1) // 2
-    )
+    return VANHAMME.at(p)
 
 
 def vanhamme_lhs(p: int, k: int) -> ResidueInt:
@@ -427,12 +481,19 @@ def vanhamme_lhs(p: int, k: int) -> ResidueInt:
     return pfq_residue(vanhamme_spec(p), p, k)
 
 
+def _half_p_minus_3(p: int) -> int:
+    return (p - 3) // 2
+
+
+HALF_HARMONIC2 = SeriesFamily((F(1),) * 3, (F(2),) * 2, F(1), _half_p_minus_3)
+
+
 def half_harmonic2_spec(p: int) -> SeriesSpec:
     """3F2[1,1,1; 2,2; 1] truncated at (p-3)/2: term j is 1/(j+1)^2, so the sum is
     sum_{j=1}^{(p-1)/2} 1/j^2 (``exact.half_harmonic2``)."""
     if p % 2 == 0 or p < 3:
         raise ValueError("p must be an odd prime")
-    return SeriesSpec((F(1),) * 3, (F(2),) * 2, F(1), (p - 3) // 2)
+    return HALF_HARMONIC2.at(p)
 
 
 # --- identity instances ------------------------------------------------------
@@ -519,16 +580,17 @@ def bailey_b1_check(p: int) -> IdentityOutcome:
     m = (p - 1) // 2
     b_pair = ConjugatePair(F(1, 2), F(-p, 2), TRACE_OMEGA)
     d_pair = ConjugatePair(F(1), F(p, 2), TRACE_OMEGA)
-    top = (F(1, 2), b_pair, F(1 - p, 2))
-    lhs = pfq_pair(SeriesSpec(top, (d_pair, 1 + F(p, 2)), F(1), m))
-    rhs = _product(
-        (p, 1),
-        pochhammer_pair(F(1, 2), m),
-        pochhammer_pair(F(1 - p, 2), m),
-        _inverse(pochhammer_pair(d_pair, m)),
-        pfq_pair(SeriesSpec(top, (F(1), F(3, 4), F(5, 4)), F(1), m)),
+    half, b, shifted = _progressions((F(1, 2), b_pair, F(1 - p, 2)), m)
+    top = _products([half, b, shifted], m)  # shared by the two series
+    d, e = _progressions((d_pair, 1 + F(p, 2)), m)
+    lhs = _sum_pair(*_steps(top, [d, e], F(1), m))
+    series = _sum_pair(*_steps(top, _progressions(THM1.bottom, m), F(1), m))  # 1, 3/4, 5/4
+    # (1/2)_m ((1-p)/2)_m / (d_pair)_m from the same progressions
+    prefactor = (
+        product_tree(list(map(mul, half.factors, shifted.factors))) * d.den**m,
+        (half.den * shifted.den) ** m * product_tree(d.factors),
     )
-    return IdentityOutcome(lhs, rhs)
+    return IdentityOutcome(lhs, _product((p, 1), prefactor, series))
 
 
 def _c3_closed_form(p: int) -> tuple[int, ConjugatePair, ConjugatePair]:

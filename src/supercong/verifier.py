@@ -42,17 +42,17 @@ from .exact import (
 # unused by the checks, but perfbench/tracing.py wraps every name it lists in this module
 from .exact import pochhammer, vp  # noqa: F401
 from .hypergeom import (
+    HALF_HARMONIC2,
+    KILBOURN,
+    THM1,
+    VANHAMME,
     bailey_b1_check,
     c3_check,
     c3_rhs_closed,
-    half_harmonic2_spec,
     kilbourn_lhs,
-    kilbourn_spec,
     pfq_residues,
     thm1_rhs,
-    thm1_spec,
     vanhamme_lhs,
-    vanhamme_spec,
     whipple_c1_check,
 )
 from .padic_gamma import gamma_p
@@ -353,10 +353,10 @@ def primes_between(lo: int, hi: int) -> list[int]:
 # Each series summed for a whole sweep at once: its family, the e of pfq_residue,
 # and the precision k at which each check reads it.
 _BATCHED_SERIES = (
-    (kilbourn_spec, 0, {CheckId.A1: 3}),
-    (thm1_spec, 1, {CheckId.A2: 3}),
-    (vanhamme_spec, 0, {CheckId.A3: 3, CheckId.A4: 4, CheckId.A3_SWISHER: 5}),
-    (half_harmonic2_spec, 0, {CheckId.B6: 4, CheckId.WOLSTENHOLME: 1}),
+    (KILBOURN, 0, {CheckId.A1: 3}),
+    (THM1, 1, {CheckId.A2: 3}),
+    (VANHAMME, 0, {CheckId.A3: 3, CheckId.A4: 4, CheckId.A3_SWISHER: 5}),
+    (HALF_HARMONIC2, 0, {CheckId.B6: 4, CheckId.WOLSTENHOLME: 1}),
 )
 
 # The primes at which a check sums its series side; it skips the others first.  This
@@ -490,13 +490,13 @@ def series_sides(
     symbols of b4, b6 and c5 come from ``rising_symbols``.
     """
     sums = {}
-    for spec_at, e, precisions in _BATCHED_SERIES:
+    for family, e, precisions in _BATCHED_SERIES:
         wanted = {c: [p for p in primes if _SUMS_SERIES_AT[c](p)] for c in precisions if c in checks}
-        family = sorted(set().union(*wanted.values()))
-        if len(family) < 2:
+        read = sorted(set().union(*wanted.values()))
+        if len(read) < 2:
             continue
         k = max(precisions[c] for c, ps in wanted.items() if ps)
-        residues = dict(zip(family, pfq_residues(spec_at, family, k, e)))
+        residues = dict(zip(read, pfq_residues(family, read, k, e)))
         for check, ps in wanted.items():
             sums[check] = {
                 p: ResidueInt(residues[p].value, p, precisions[check])

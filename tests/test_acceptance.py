@@ -257,3 +257,17 @@ def test_criterion_17_b4_b6_to_ten_thousand():
     assert elapsed < 2.0
     report(17, f"b4 and b6 hold at all 1227 primes in 5..10^4 "
                f"({elapsed:.1f}s single-threaded, their symbols read off one tree per sweep)")
+
+
+def test_criterion_18_identities_to_two_thousand():
+    start = time.perf_counter()
+    primes = primes_between(3, 2000)
+    c3_primes = [p for p in primes if p % 4 == 3 and p >= 7]
+    failures = [("b1", p) for p in primes if not bailey_b1_check(p).equal]
+    failures += [("c3", p) for p in c3_primes if not c3_check(p).equal]
+    elapsed = time.perf_counter() - start
+    assert failures == []
+    assert elapsed < 6.0
+    report(18, f"b1 equal at all {len(primes)} odd primes and c3 at the {len(c3_primes)} primes "
+               f"= 3 mod 4 in 3..2000 ({elapsed:.1f}s single-threaded, each side from "
+               f"its parameters' factor progressions)")

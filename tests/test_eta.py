@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dense_eta import IntSeries, dense_f_coefficients, eta_factor_series
@@ -121,6 +122,24 @@ class TestAgainstDenseOracle:
         # the dense product truncated at B is the prefix of the one truncated at 2000
         for bound in self.SAMPLE:
             assert f_coefficients(bound) == oracle[: bound + 1], bound
+
+
+def zero_padded_f_coefficients(bound):
+    """The table from one convolution of E(x) with a zero-padded E(x^2): the former formula."""
+    half = (bound - 1) // 2
+    e = eta._fourth_power(half)
+    e_squared = np.zeros(half + 1, dtype=np.int64)
+    e_squared[::2] = e[: half // 2 + 1]
+    out = [0] * (bound + 1)
+    out[1::2] = np.convolve(e, e_squared)[: half + 1].tolist()
+    return tuple(out)
+
+
+class TestAgainstZeroPaddedConvolution:
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6, 7, 8, 9, 99, 100, 1023, 1024, 1025,
+                                       4095, 4096, 4097, 1 << 14, (1 << 14) + 3])
+    def test_same_table(self, bound):
+        assert f_coefficients(bound) == zero_padded_f_coefficients(bound)
 
 
 class TestTableCap:

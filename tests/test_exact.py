@@ -17,6 +17,7 @@ from supercong.exact import (
     ResidueInt,
     congruent,
     cleared_factor,
+    cleared_progression,
     fraction_str,
     half_harmonic2,
     is_prime,
@@ -181,12 +182,20 @@ class TestPochhammer:
             expected = math.prod(c0 + j * (c1 + j * c2) for j in range(n)), den**n
             assert pochhammer_pair(param, n) == expected, n
 
+    @pytest.mark.parametrize("param", PARAMS)
+    def test_progression_is_the_factor_at_each_offset(self, param):
+        (c0, c1, c2), den = cleared_factor(param)
+        for n in (0, 1, 2, 7, 100):
+            factors, d = cleared_progression(param, n)
+            assert list(factors) == [c0 + j * (c1 + j * c2) for j in range(n)] and d == den
+
     def test_product_tree(self):
         assert product_tree([]) == 1
         assert product_tree([-7]) == -7
         for n in range(1, 70):
             factors = [3 * j - 50 for j in range(n)]
             assert product_tree(factors) == math.prod(factors)
+            assert product_tree(range(-50, 3 * n - 50, 3)) == math.prod(factors)
 
 
 def cubic_collapse(u, v, p, k):

@@ -7,23 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qzeta
+from supercong import hypergeom
 from supercong.eta import a_p
 from supercong.exact import (
     TRACE_I,
     TRACE_OMEGA,
     ConjugatePair,
     NegativeValuation,
+    Progression,
+    cleared_factor,
+    cleared_progression,
     half_harmonic2,
     pochhammer,
     reduce_mod,
     vp,
 )
 from supercong.hypergeom import (
+    HALF_HARMONIC2,
+    KILBOURN,
+    THM1,
+    VANHAMME,
     GuardExceeded,
     IdentityOutcome,
     PoleParameter,
+    SeriesFamily,
     SeriesSpec,
     ZeroDenominatorPochhammer,
+    _step_factors,
     bailey_b1_check,
     c3_check,
     c3_rhs_closed,
@@ -79,6 +89,78 @@ def outcome_of(evaluate, spec):
         return evaluate(spec)
     except ZeroDenominatorPochhammer as info:
         return info.term_index, info.param_index
+
+
+def step_factors_by_loop(spec):
+    """The step factors P(j), Q(j) built one step at a time: the oracle for ``_step_factors``.
+
+    Every factor is evaluated at its offset j from ``cleared_factor``; the
+    steps stop at a zero argument or the first vanishing top factor, and the
+    first vanishing bottom factor, in j and then in parameter order, raises.
+    """
+    top = [cleared_factor(a) for a in spec.top]
+    bottom = [cleared_factor(b) for b in spec.bottom]
+    p_scale = spec.argument.numerator * math.prod(d for _, d in bottom)
+    q_scale = spec.argument.denominator * math.prod(d for _, d in top)
+    ps, qs = [], []
+    live = p_scale != 0
+    for j in range(spec.terms):
+        q = q_scale * (j + 1)
+        for index, ((c0, c1, c2), _) in enumerate(bottom):
+            x = c0 + j * (c1 + j * c2)
+            if not x:
+                raise ZeroDenominatorPochhammer(j + 1, index)
+            q *= x
+        if live:
+            p = p_scale
+            for (c0, c1, c2), _ in top:
+                p *= c0 + j * (c1 + j * c2)
+            live = p != 0
+            if live:
+                ps.append(p)
+                qs.append(q)
+    return ps, qs
+
+
+class TestStepFactors:
+    """``_step_factors``, built from whole progressions, against the per-step loop."""
+
+    @given(exact_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_loop(self, spec):
+        assert outcome_of(_step_factors, spec) == outcome_of(step_factors_by_loop, spec)
+
+    @pytest.mark.parametrize("spec", [
+        # no steps at all, and a zero argument that still tests the bottom
+        SeriesSpec((F(1, 2),), (F(1),), F(1), 0),
+        SeriesSpec((F(1, 2),), (F(1), F(-3)), F(0), 6),
+        SeriesSpec((ConjugatePair(F(1, 2), F(3, 4), TRACE_I),), (F(5, 3),), F(0), 6),
+        # two bottoms, a rational and a pair, vanish at the same step: the first one raises
+        SeriesSpec((F(1, 2),), (F(1), F(-2), ConjugatePair(F(-2), F(0), TRACE_I)), F(1), 5),
+        SeriesSpec((F(1, 2),), (ConjugatePair(F(-2), F(0), TRACE_OMEGA), F(-2)), F(1), 5),
+        # a bottom that vanishes after the top has ended the terms
+        SeriesSpec((F(-1), ConjugatePair(F(1), F(2), TRACE_OMEGA)), (F(2), F(-3)), F(3, 2), 5),
+        # a top that vanishes inside the range, with no bottom zero
+        SeriesSpec((F(-4, 2), F(7, 3)), (F(5, 2), ConjugatePair(F(1), F(1, 2), TRACE_I)), F(-2), 9),
+        # the b1 and c3 shapes at p = 11
+        SeriesSpec((F(1, 2), ConjugatePair(F(1, 2), F(-11, 2), TRACE_OMEGA), F(-5)),
+                   (ConjugatePair(F(1), F(11, 2), TRACE_OMEGA), F(13, 2)), F(1), 5),
+        SeriesSpec((F(5, 4), F(1, 2), F(-5), F(6), ConjugatePair(F(1, 2), F(11, 2), TRACE_I)),
+                   (F(1, 4), F(-9, 2), F(13, 2), ConjugatePair(F(1), F(11, 2), TRACE_I)), F(-1), 5),
+    ])
+    def test_edge_cases(self, spec):
+        assert outcome_of(_step_factors, spec) == outcome_of(step_factors_by_loop, spec)
+
+    def test_a_progression_one_step_off_is_caught(self, monkeypatch):
+        # mutation check: the oracle comparison must fail when every progression starts at j = 1
+        def one_step_off(param, n):
+            factors, den = cleared_progression(param, n + 1)
+            return Progression(factors[1:], den)
+
+        monkeypatch.setattr(hypergeom, "cleared_progression", one_step_off)
+        for spec in (SeriesSpec((F(1, 2),) * 2, (F(1),), F(1), 4),
+                     SeriesSpec((ConjugatePair(F(1, 2), F(3, 4), TRACE_I),), (F(3, 2),), F(-1), 4)):
+            assert outcome_of(_step_factors, spec) != outcome_of(step_factors_by_loop, spec)
 
 
 class TestPfqTruncated:
@@ -290,19 +372,19 @@ class TestPfqResidue:
         assert pfq_residue(spec, 3, 2).value == 1
 
 
-# each batched family of the verifier: spec, k, e and its least prime
+# each batched family of the verifier: the family, its single-prime spec, k, e and its least prime
 BATCHED_FAMILIES = {
-    "kilbourn": (kilbourn_spec, 3, 0, 3),
-    "thm1": (thm1_spec, 3, 1, 5),
-    "vanhamme": (vanhamme_spec, 5, 0, 3),
-    "half_harmonic2": (half_harmonic2_spec, 4, 0, 3),
+    "kilbourn": (KILBOURN, kilbourn_spec, 3, 0, 3),
+    "thm1": (THM1, thm1_spec, 3, 1, 5),
+    "vanhamme": (VANHAMME, vanhamme_spec, 5, 0, 3),
+    "half_harmonic2": (HALF_HARMONIC2, half_harmonic2_spec, 4, 0, 3),
 }
 
 
-def single_prime(spec_at, p, k, e):
+def single_prime(family, p, k, e):
     """pfq_residue at p, or the exception it raised."""
     try:
-        return pfq_residue(spec_at(p), p, k, e)
+        return pfq_residue(family.at(p), p, k, e)
     except ArithmeticError as exc:
         return exc
 
@@ -319,33 +401,33 @@ def residue_families(draw):
     offset = draw(st.integers(-1, 3))
     primes = sorted(draw(st.sets(st.sampled_from(primes_between(3, 60)), max_size=6)))
 
-    def spec_at(p):
-        terms = max(0, (scale * p + shift) // 2 + offset)
-        return SeriesSpec(tuple(top), tuple(bottom), argument, terms)
+    def truncation(p):
+        return max(0, (scale * p + shift) // 2 + offset)
 
-    return spec_at, primes, draw(st.integers(1, 4)), draw(st.integers(-1, 2))
+    family = SeriesFamily(tuple(top), tuple(bottom), argument, truncation)
+    return family, primes, draw(st.integers(1, 4)), draw(st.integers(-1, 2))
 
 
 class TestPfqResidues:
     @pytest.mark.parametrize("family", BATCHED_FAMILIES)
     def test_every_prime_to_3000(self, family):
-        spec_at, k, e, least = BATCHED_FAMILIES[family]
+        family, spec_at, k, e, least = BATCHED_FAMILIES[family]
         primes = primes_between(least, 3000)
-        assert pfq_residues(spec_at, primes, k, e) == [pfq_residue(spec_at(p), p, k, e) for p in primes]
+        assert pfq_residues(family, primes, k, e) == [pfq_residue(spec_at(p), p, k, e) for p in primes]
 
     @pytest.mark.parametrize("family", BATCHED_FAMILIES)
     @pytest.mark.parametrize("window", [(2100, 2202), (10000, 10100)])
     def test_windows(self, family, window):
-        spec_at, k, e, _ = BATCHED_FAMILIES[family]
+        family, spec_at, k, e, _ = BATCHED_FAMILIES[family]
         primes = primes_between(*window)
-        assert pfq_residues(spec_at, primes, k, e) == [pfq_residue(spec_at(p), p, k, e) for p in primes]
+        assert pfq_residues(family, primes, k, e) == [pfq_residue(spec_at(p), p, k, e) for p in primes]
 
     @pytest.mark.parametrize("family", BATCHED_FAMILIES)
     def test_one_prime_and_none(self, family):
-        spec_at, k, e, _ = BATCHED_FAMILIES[family]
+        family, spec_at, k, e, _ = BATCHED_FAMILIES[family]
         for p in (5, 2111, 10007):
-            assert pfq_residues(spec_at, [p], k, e) == [pfq_residue(spec_at(p), p, k, e)]
-        assert pfq_residues(spec_at, [], k, e) == []
+            assert pfq_residues(family, [p], k, e) == [pfq_residue(spec_at(p), p, k, e)]
+        assert pfq_residues(family, [], k, e) == []
 
     def test_half_harmonic2_spec(self):
         for p in primes_between(3, 400):
@@ -354,10 +436,10 @@ class TestPfqResidues:
     def test_sum_that_is_not_p_integral(self):
         # without the factor p the Theorem 1 sum has valuation -1 at some primes
         primes = primes_between(5, 300)
-        got = pfq_residues(thm1_spec, primes, 3)
+        got = pfq_residues(THM1, primes, 3)
         assert any(isinstance(batched, NegativeValuation) for batched in got)
         for p, batched in zip(primes, got):
-            alone = single_prime(thm1_spec, p, 3, 0)
+            alone = single_prime(THM1, p, 3, 0)
             if isinstance(batched, NegativeValuation):
                 assert type(batched) is type(alone) is NegativeValuation
                 assert str(batched) == str(alone)
@@ -367,16 +449,16 @@ class TestPfqResidues:
     @given(residue_families())
     @settings(max_examples=200, deadline=None)
     def test_against_single_prime(self, case):
-        spec_at, primes, k, e = case
+        family, primes, k, e = case
         try:
-            got = pfq_residues(spec_at, primes, k, e)
+            got = pfq_residues(family, primes, k, e)
         except ZeroDenominatorPochhammer:
             with pytest.raises((ZeroDenominatorPochhammer, GuardExceeded)):
-                pfq_residue(spec_at(primes[-1]), primes[-1], k, e)
+                pfq_residue(family.at(primes[-1]), primes[-1], k, e)
             return
         assert len(got) == len(primes)
         for p, batched in zip(primes, got):
-            alone = single_prime(spec_at, p, k, e)
+            alone = single_prime(family, p, k, e)
             if isinstance(batched, GuardExceeded):
                 continue  # the tree's guard is on the whole denominator: it may trip first
             if isinstance(batched, NegativeValuation):
@@ -388,21 +470,18 @@ class TestPfqResidues:
         # term j is 1 / (1/2)_j, of valuation -1 from j = 3 at p = 5, but the step
         # denominators 2j+1 and j+1 hold 5 at j = 2 and j = 4: vp(Q) = 2 > guard 1
         spec = SeriesSpec((F(1),), (F(1, 2),), F(1), 5)
-        (got,) = pfq_residues(lambda p: spec, [5], 2)
+        (got,) = pfq_residues(SeriesFamily(spec.top, spec.bottom, spec.argument, lambda p: 5), [5], 2)
         assert isinstance(got, GuardExceeded)
         assert "valuation 2, above the guard 1" in str(got)
         # the single-prime path tracks the terms themselves and needs e = 1
         assert pfq_residue(spec, 5, 2, e=1) == reduce_mod(5 * pfq_truncated(spec), 5, 2)
         # with 2p steps the denominator vanishes mod p^(k+guard)
-        long = SeriesSpec((F(1),), (F(1, 2),), F(1), 10)
-        (got,) = pfq_residues(lambda p: long, [5], 2)
+        (got,) = pfq_residues(SeriesFamily(spec.top, spec.bottom, spec.argument, lambda p: 10), [5], 2)
         assert "vanishes mod 5^3" in str(got)
 
-    def test_family_must_keep_its_parameters(self):
-        with pytest.raises(ValueError, match="parameters"):
-            pfq_residues(lambda p: SeriesSpec((F(p),), (), F(1), p), [3, 5], 2)
+    def test_truncation_must_not_decrease(self):
         with pytest.raises(ValueError, match="decreases"):
-            pfq_residues(lambda p: SeriesSpec((F(1),), (), F(1), 10 - p), [3, 5], 2)
+            pfq_residues(SeriesFamily((F(1),), (), F(1), lambda p: 10 - p), [3, 5], 2)
 
 
 class TestWhippleC1:

@@ -266,7 +266,7 @@ class TestBatchedSides:
 
     def test_sweep_reads_the_batched_side(self, monkeypatch):
         monkeypatch.setattr(verifier, "pfq_residues",
-                            lambda spec_at, primes, k, e=0: [ResidueInt(0, p, k) for p in primes])
+                            lambda family, primes, k, e=0: [ResidueInt(0, p, k) for p in primes])
         report = run_suite(3, 40, {CheckId.A1}, workers=1)
         assert [o.rhs_residue for o in report.outcomes] == [ResidueInt(0, o.p, 3) for o in report.outcomes]
 
@@ -284,8 +284,8 @@ class TestBatchedSides:
     def test_prime_left_out_of_the_batch_is_a_direct_call(self, monkeypatch):
         real = verifier.pfq_residues
 
-        def raise_at_second(spec_at, primes, k, e=0):
-            out = real(spec_at, primes, k, e)
+        def raise_at_second(family, primes, k, e=0):
+            out = real(family, primes, k, e)
             out[1] = NegativeValuation("left out")
             return out
 
