@@ -8,7 +8,10 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+# argparse's gettext imports locale on first use; import it here, with the rest of set-up
+import locale  # noqa: F401
 import sys
 from fractions import Fraction
 
@@ -172,6 +175,9 @@ def _cmd_hyper(args) -> int:
 
 
 def main(argv=None) -> int:
+    # set-up's objects live to the end: frozen, no collection rescans them
+    # and a forked worker does not copy their headers
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -6,6 +6,9 @@ naming the exception.  The truncated series whose parameters do not depend
 on p are summed once per sweep, before any task runs, and the Pochhammer
 symbols of b4, b6 and c5 are read off one tree of (1+y)_n; each is handed
 to its check as an optional argument that it would otherwise compute itself.
+On n workers the sweep forks n - 1 children once, each running an
+interleaved share of the tasks while the calling process runs the first; a
+child that dies has its tasks become fail outcomes naming how it exited.
 Outcomes are merged by a deterministic sort, making a Report independent of
 the worker count.  Residues are rendered as decimal strings in reports to
 avoid integer-width ambiguity in consumers.
@@ -18,8 +21,9 @@ import io
 import json
 import math
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -526,12 +530,74 @@ def _run_task(task) -> CheckOutcome:
     try:
         outcome = globals()[f"check_{check.value}"](*args)
     except Exception as exc:
-        note = f"{type(exc).__name__}: {exc}"
-        if check is CheckId.C1_IDENTITY:
-            note = f"y={Fraction(args[1])} {note}"
-        outcome = CheckOutcome(check, args[0], "fail", note=note)
+        outcome = _failed(task, f"{type(exc).__name__}: {exc}")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return replace(outcome, elapsed_ms=elapsed_ms)
+
+
+def _failed(task, note: str) -> CheckOutcome:
+    """The fail outcome of a task that produced none; a C1 note names its y."""
+    check, args = task
+    if check is CheckId.C1_IDENTITY:
+        note = f"y={Fraction(args[1])} {note}"
+    return CheckOutcome(check, args[0], "fail", note=note)
+
+
+def _run_share(tasks: list, i: int, n: int) -> list[CheckOutcome]:
+    # _run_task is read from the module when called, so a rebound attribute is the one run
+    return [_run_task(t) for t in tasks[i::n]]
+
+
+def _exit_note(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    return f"worker exited with signal {-code}" if code < 0 else f"worker exited with status {code}"
+
+
+def _run_forked(tasks: list, workers: int) -> list[CheckOutcome]:
+    """Every task's outcome, from n = min(workers, len(tasks)) processes (at least one).
+
+    The caller forks n - 1 children before any task runs; child i runs
+    ``tasks[i::n]`` and sends its outcomes back as one pickle on a pipe,
+    while the caller runs share 0.  A child that leaves without sending a
+    complete pickle has each of its tasks become a fail outcome naming how
+    it exited.  If the caller's own share raises, the children are killed
+    and reaped before the exception propagates.
+    """
+    n = max(1, min(workers, len(tasks)))
+    children = []  # (pid, read end) of shares 1..n-1
+    try:
+        for i in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    data = pickle.dumps(_run_share(tasks, i, n))
+                    with open(write, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, read))
+            # a later child must not hold this write end open, or the read never ends
+            os.close(write)
+        outcomes = _run_share(tasks, 0, n)
+    except BaseException:
+        for pid, read in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+        raise
+    for i, (pid, read) in enumerate(children, start=1):
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        if status == 0 and data:
+            outcomes.extend(pickle.loads(data))
+        else:
+            note = _exit_note(status)
+            outcomes.extend(_failed(t, note) for t in tasks[i::n])
+    return outcomes
 
 
 def default_workers() -> int:
@@ -549,10 +615,10 @@ def run_suite(
 
     The outcome list is sorted by (check, p, note) and is identical for any
     worker count.  Skipped hypotheses are recorded, never dropped.  Before
-    any task runs, and before a pool starts, the calling process sums each
-    series side and reads the Pochhammer symbols once for all primes
+    any task runs, and before any worker is forked, the calling process sums
+    each series side and reads the Pochhammer symbols once for all primes
     (``series_sides``); a task carries them as the check's optional
-    arguments.
+    arguments.  More than one worker needs ``os.fork``.
     """
     checks = frozenset(checks)
     if not checks:
@@ -563,6 +629,8 @@ def run_suite(
         workers = default_workers()
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError("more than one worker needs os.fork, which this platform lacks")
 
     primes = primes_between(pmin, pmax)
     sides = series_sides(primes, checks)
@@ -576,12 +644,7 @@ def run_suite(
             side = sides.get(check, {})
             tasks.extend((check, (p, *side[p]) if p in side else (p,)) for p in primes)
 
-    if workers == 1:
-        outcomes = [_run_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_task, tasks, chunksize=4))
-
+    outcomes = _run_forked(tasks, workers)
     outcomes.sort(key=lambda o: (_CHECK_ORDER[o.check], o.p, o.note))
     summary = {
         "pass": sum(1 for o in outcomes if o.status == "pass"),

@@ -1,6 +1,11 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +82,79 @@ class TestCheckThatRaises:
                 assert row["lhs"] is row["rhs"] is row["modulus"] is None
             else:
                 assert row == before
+
+
+def sigkill_self(p):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def exit_quietly(p):
+    raise SystemExit(0)
+
+
+def unpicklable_outcome(p):
+    return verifier.CheckOutcome(verifier.CheckId.A3, p, "pass", note=lambda: None)
+
+
+class TestDeadWorker:
+    ARGV = ("verify", "--checks", "a3", "--pmin", "3", "--pmax", "13", "--no-timing")
+
+    @pytest.mark.parametrize("death, note", [
+        (sigkill_self, f"worker exited with signal {signal.SIGKILL.value}"),
+        (exit_quietly, "worker exited with status 1"),
+        (unpicklable_outcome, "worker exited with status 1"),
+    ])
+    def test_its_share_becomes_fail_rows(self, capfd, monkeypatch, death, note):
+        code, out, _ = run_cli(capfd, *self.ARGV, "--workers", "1")
+        assert code == 0
+        clean = json.loads(out)["outcomes"]
+
+        parent, real = os.getpid(), verifier.check_a3
+
+        def dying(p, *rest):
+            return death(p) if os.getpid() != parent else real(p, *rest)
+
+        monkeypatch.setattr(verifier, "check_a3", dying)
+        code, out, err = run_cli(capfd, *self.ARGV, "--workers", "2")
+        assert code == 1 and err == ""
+        report = json.loads(out)  # nothing but the report reaches stdout
+        assert report["summary"] == {"pass": 3, "fail": 2, "skipped": 0}
+        for i, (row, before) in enumerate(zip(report["outcomes"], clean, strict=True)):
+            if i % 2:  # share 1 of primes 3, 5, 7, 11, 13
+                assert row == dict(before, status="fail", lhs=None, rhs=None, modulus=None, note=note)
+            else:
+                assert row == before
+
+    def test_without_fork_two_workers_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        code, out, err = run_cli(capsys, *self.ARGV, "--workers", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "os.fork" in err
+
+
+class TestOpenBlasThreads:
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+    PROBE = ("import os, sys, supercong.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+             "sys.platform == 'linux' and print(next(l for l in open('/proc/self/status') "
+             "if l.startswith('Threads:')).split()[1])")
+
+    def probe(self, preset):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (self.SRC, env.get("PYTHONPATH"))))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.split()
+
+    def test_numpy_loads_without_a_thread_pool(self):
+        out = self.probe(None)
+        assert out[0] == "1"
+        if sys.platform == "linux":
+            assert out[1] == "1"
+
+    def test_a_preset_value_survives(self):
+        assert self.probe("2")[0] == "2"
 
 
 class TestOtherCommands:

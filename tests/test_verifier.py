@@ -1,4 +1,7 @@
 import json
+import os
+import signal
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -226,6 +229,89 @@ class TestRunSuite:
         assert default_workers() == 3
         monkeypatch.delenv("SUPERCONG_WORKERS")
         assert default_workers() == 1
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    """Patch os.fork to record the pid of every child it makes."""
+    real = os.fork
+    pids = []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestForkedWorkers:
+    # the first k odd primes, for sweeps of k A1 tasks
+    PRIMES = primes_between(3, 19)
+
+    def test_every_outcome_comes_back_once(self):
+        for k in range(8):
+            pmin, pmax = (3, self.PRIMES[k - 1]) if k else (4, 4)
+            one = run_suite(pmin, pmax, {CheckId.A1}, workers=1, timestamp="t")
+            assert [o.p for o in one.outcomes] == self.PRIMES[:k]
+            for workers in range(2, 6):
+                many = run_suite(pmin, pmax, {CheckId.A1}, workers=workers, timestamp="t")
+                assert [o.p for o in many.outcomes] == self.PRIMES[:k], (k, workers)
+                assert emit_report(many, include_timing=False) == emit_report(one, include_timing=False)
+
+    def test_no_idle_child(self, monkeypatch):
+        pids = counting_forks(monkeypatch)
+        report = run_suite(3, 5, {CheckId.A1}, workers=8)
+        assert len(report.outcomes) == 2 and len(pids) == 1
+        run_suite(3, 19, {CheckId.A1}, workers=1)
+        assert len(pids) == 1  # one worker forks nothing
+
+    def test_without_fork_more_workers_is_a_config_error(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ConfigError, match="os.fork"):
+            run_suite(3, 5, {CheckId.A1}, workers=2)
+        assert run_suite(3, 5, {CheckId.A1}, workers=1).summary["pass"] == 2
+
+    def test_dead_c1_worker_rows_keep_their_y(self, monkeypatch):
+        parent = os.getpid()
+        real = verifier.check_c1
+
+        def dying(n, y):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(n, y)
+
+        monkeypatch.setattr(verifier, "check_c1", dying)
+        tasks = [(CheckId.C1_IDENTITY, (n, y)) for n in range(3) for y in verifier.C1_SAMPLE_YS[:2]]
+        outcomes = verifier._run_forked(tasks, 2)
+        assert [o.status for o in outcomes] == ["pass"] * 3 + ["fail"] * 3
+        for o, (_, (n, y)) in zip(outcomes[3:], tasks[1::2], strict=True):
+            assert (o.p, o.note) == (n, f"y={y} worker exited with signal {signal.SIGKILL.value}")
+
+    def test_a_raising_share_takes_the_children_down(self, monkeypatch):
+        pids = counting_forks(monkeypatch)
+        parent = os.getpid()
+
+        def stuck_or_interrupted(p, *rest):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verifier, "check_a1", stuck_or_interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(3, 19, {CheckId.A1}, workers=3)
+        assert time.perf_counter() - start < 30
+        assert len(pids) == 2 and all(reaped(pid) for pid in pids)
 
 
 def direct_symbols(check, p):
