@@ -15,16 +15,13 @@ from .exact import (
     ResidueInt,
     TooLarge,
     congruent,
-    half_harmonic2,
     pochhammer,
-    pochhammer_mod,
     pochhammer_pair,
     reduce_mod,
     vp,
 )
 from .eta import TABLE_MAX_BOUND, a_p, f_coefficients
 from .hypergeom import (
-    FloatOutcome,
     GuardExceeded,
     IdentityOutcome,
     PoleParameter,
@@ -34,15 +31,13 @@ from .hypergeom import (
     bailey_b1_check,
     c3_check,
     c3_rhs_closed,
+    half_harmonic2,
     half_harmonic2_spec,
     kilbourn_lhs,
     kilbourn_spec,
     pfq_pair,
-    pfq_residue,
     pfq_residues,
     pfq_truncated,
-    pfq_truncated_reference,
-    ramanujan_float_check,
     thm1_rhs,
     thm1_spec,
     vanhamme_lhs,

@@ -26,7 +26,7 @@ from .hypergeom import (
     whipple_c1_check,
 )
 from .padic_gamma import gamma_p
-from .variety import brute_force_N, count_N
+from .variety import BRUTE_FORCE_MAX, brute_force_N, count_N
 from .verifier import (
     DEFAULT_CHECKS,
     CheckId,
@@ -131,6 +131,8 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.brute and args.p > BRUTE_FORCE_MAX:  # a usage error, before anything is printed
+        raise ConfigError(f"--brute is capped at p <= {BRUTE_FORCE_MAX}, got {args.p}")
     n = count_N(args.p)
     sys.stdout.write(f"N({args.p}) = {n}\n")
     if args.brute:

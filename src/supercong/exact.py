@@ -16,9 +16,7 @@ over ranges for a pair's quadratic.  ``pochhammer_pair`` multiplies it by a
 product tree into one unreduced (numerator, denominator) pair; the identity
 checks use the pair, and ``pochhammer`` reduces it to a ``Fraction``.  The
 series of ``hypergeom`` build their step factors from the same
-progressions.  The congruence checks work in Z/p^k throughout and multiply
-only residues (``pochhammer_mod``, ``half_harmonic2``); there the exact
-symbol is the test oracle.
+progressions.
 
 A sweep needs the same kind of product at many primes.
 ``remainder_tree`` is the accumulating remainder tree (Costa-Gerbicz-Harvey)
@@ -29,7 +27,10 @@ polynomials: the K lowest coefficients of (1+y)_n at many (n, modulus)
 leaves.  A Pochhammer symbol whose parameters depend on p only through
 y = p*t, t p-integral, is a value of (1+y)_n, and mod p^K only those K
 coefficients matter, so one tree gives such a symbol at every prime of a
-sweep; ``pochhammer_mod`` is its single-prime path and oracle.
+sweep, and a tree of one prime's leaves gives it at that prime.  The
+congruence checks read every Pochhammer symbol this way and multiply only
+residues; the exact symbol, and a product of residues one factor at a time,
+are test oracles.
 """
 
 from __future__ import annotations
@@ -365,36 +366,3 @@ def pochhammer_pair(param: Union[RationalLike, ConjugatePair], n: int) -> tuple[
         raise ValueError("pochhammer index must be >= 0")
     factors, den = cleared_progression(param, n)
     return product_tree(factors), den**n
-
-
-def pochhammer_mod(
-    param: Union[RationalLike, ConjugatePair], n: int, p: int, k: int
-) -> ResidueInt:
-    """(param)_n mod p^k, multiplying integer factors; the denominator must be a p-unit."""
-    if n < 0:
-        raise ValueError("pochhammer index must be >= 0")
-    (c0, c1, c2), den = cleared_factor(param)
-    if den % p == 0:
-        raise NegativeValuation(f"{param} has {p} in its denominator, cannot reduce mod {p}^{k}")
-    modulus = p**k
-    out = 1
-    for j in range(n):
-        out = out * (c0 + j * (c1 + j * c2)) % modulus
-    return ResidueInt(out * pow(den, -n, modulus), p, k)
-
-
-def half_harmonic2(p: int, k: int) -> ResidueInt:
-    """sum_{j=1}^{(p-1)/2} 1/j^2 mod p^k.  Divisible by p for p >= 5 (Wolstenholme).
-
-    Every j is a p-unit, so the sum is kept as one fraction num/den of
-    residues and den is inverted once at the end.
-    """
-    if p % 2 == 0:
-        raise ValueError("p must be odd")
-    modulus = p**k
-    num, den = 0, 1
-    for j in range(1, (p - 1) // 2 + 1):
-        square = j * j
-        num = (num * square + den) % modulus
-        den = den * square % modulus
-    return ResidueInt(num * pow(den, -1, modulus), p, k)

@@ -6,26 +6,26 @@ a rational or a ``ConjugatePair``, which stands for two Galois-conjugate
 parameters in Q(i) or Q(omega) and contributes their joint rational
 quadratic factor, so every sum stays in Q.
 
-There are three evaluators.  ``pfq_pair`` sums a series exactly by binary
-splitting: the step ratio is cleared to integers P(j) / Q(j), and a product
-tree over the steps gives the sum as one unreduced integer pair, with no gcd
-per term.  P and Q are built whole, not step by step: each parameter's
-cleared factors over j < n are one integer progression
-(``exact.cleared_progression``, iterated in C), and the step factors are the
-progressions multiplied pointwise with ``map(mul, ...)``; b1 shares its top
-progressions between its two series and its prefactor.  ``pfq_pair``
-serves the exact identities (b1, c1, c3), which compare their
+There are two evaluators, one exact and one in Z/p^k.  ``pfq_pair`` sums a
+series exactly by binary splitting: the step ratio is cleared to integers
+P(j) / Q(j), and a product tree over the steps gives the sum as one
+unreduced integer pair, with no gcd per term.  P and Q are built whole, not
+step by step: each parameter's cleared factors over j < n are one integer
+progression (``exact.cleared_progression``, iterated in C), and the step
+factors are the progressions multiplied pointwise with ``map(mul, ...)``;
+b1 shares its top progressions between its two series and its prefactor.
+``pfq_pair`` serves the exact identities (b1, c1, c3), which compare their
 two sides by cross-multiplication, and ``pfq_truncated``, the reduced
-``Fraction`` for ``supercong hyper`` and the tests; ``pfq_truncated_reference``
-(from Pochhammer symbols, term by term) is its oracle.  ``pfq_residue`` is
-the single-prime path for the congruence checks: it runs the same recurrence
-over integers, one step at a time, carrying each term as p^v times a unit
-mod p^(k+guard), so no O(p^2)-bit denominator is ever formed;
-``pfq_truncated`` reduced mod p^k is its test oracle.  ``pfq_residues``
-serves a sweep: a ``SeriesFamily`` declares parameters that do not depend on
-p and a truncation index that does, and one accumulating remainder tree
-(``exact.remainder_tree``) over its step factors gives the residue at
-every prime of the sweep, with ``pfq_residue`` as its oracle.  On top of the
+``Fraction`` for ``supercong hyper`` and the tests.  ``pfq_residues`` gives
+the residues of the congruence checks: a ``SeriesFamily`` declares
+parameters that do not depend on p and a truncation index that does, and one
+accumulating remainder tree (``exact.remainder_tree``) over its step
+factors gives the residue mod p^k at every prime of a sweep, with no
+O(p^2)-bit denominator ever formed.  At a single prime it is the same tree
+with one leaf (``kilbourn_lhs``, ``thm1_rhs``, ``vanhamme_lhs``,
+``half_harmonic2``).  The slow references, the term-by-term sum from
+Pochhammer symbols and a residue recurrence run one step at a time, are
+test oracles only (``tests/oracles.py``).  On top of the
 evaluators sit the concrete sums and identity instances the verifier
 checks: Kilbourn's 4F3, the Theorem 1 4F3, the Van Hamme 6F5(-1), the half
 harmonic sum as a 3F2, Whipple's terminating 6F5 with its fully rational
@@ -49,10 +49,7 @@ from .exact import (
     NegativeValuation,
     ResidueInt,
     Progression,
-    cleared_factor,
     cleared_progression,
-    pochhammer,
-    pochhammer_mod,
     pochhammer_pair,
     product_tree,
     reduce_mod,
@@ -73,7 +70,7 @@ class ZeroDenominatorPochhammer(ArithmeticError):
 
 
 class GuardExceeded(NegativeValuation):
-    """A term of a residue series has p-adic valuation below -guard, beyond its fixed precision."""
+    """A residue series needs more p-adic precision than its guard provides."""
 
 
 class PoleParameter(ValueError):
@@ -103,22 +100,6 @@ class SeriesSpec:
 
 def _as_param(x) -> Fraction | ConjugatePair:
     return x if isinstance(x, ConjugatePair) else Fraction(x)
-
-
-def _rising(param: Fraction | ConjugatePair, n: int) -> Fraction:
-    if isinstance(param, ConjugatePair):
-        return param.pochhammer(n)
-    return pochhammer(param, n)
-
-
-def _cleared(params) -> tuple[list[tuple[int, int, int]], int]:
-    """Each parameter's integer factor coefficients (``cleared_factor``) and the product of the d's."""
-    coeffs, den = [], 1
-    for param in params:
-        c, d = cleared_factor(param)
-        coeffs.append(c)
-        den *= d
-    return coeffs, den
 
 
 # a range of at most this many steps is summed by the recurrence itself
@@ -222,23 +203,6 @@ def pfq_truncated(spec: SeriesSpec) -> Fraction:
     return Fraction(*pfq_pair(spec))
 
 
-def pfq_truncated_reference(spec: SeriesSpec) -> Fraction:
-    """From-scratch evaluation via Pochhammer symbols; the slow oracle for pfq_truncated."""
-    total = Fraction(0)
-    for k in range(spec.terms + 1):
-        num = Fraction(1)
-        for a in spec.top:
-            num *= _rising(a, k)
-        den = Fraction(math.factorial(k))
-        for j, b in enumerate(spec.bottom):
-            factor = _rising(b, k)
-            if not factor:
-                raise ZeroDenominatorPochhammer(k, j)
-            den *= factor
-        total += num / den * spec.argument**k
-    return total
-
-
 def _p_split(x: int, p: int) -> tuple[int, int]:
     """(v, u) with x = p^v * u and p not dividing u, for a nonzero int x."""
     v = 0
@@ -248,87 +212,9 @@ def _p_split(x: int, p: int) -> tuple[int, int]:
     return v, x
 
 
-def _factor_product(coeffs, j: int, p: int, modulus: int) -> tuple[int, int, int | None]:
-    """(v, u, None) with the product of the factors at offset j = p^v * u (u mod modulus),
-    or (0, 0, index) when the factor of parameter #index vanishes."""
-    v, u = 0, 1
-    for index, (c0, c1, c2) in enumerate(coeffs):
-        x = c0 + j * (c1 + j * c2)
-        if not x:
-            return 0, 0, index
-        while x % p == 0:  # _p_split, inlined in the hot loop
-            x //= p
-            v += 1
-        u = u * x % modulus
-    return v, u, None
-
-
 def _guard(bottom) -> int:
     """The number of bottom parameters, a pair counting as two."""
     return sum(2 if isinstance(b, ConjugatePair) else 1 for b in bottom)
-
-
-def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
-    """p^e * pfq_truncated(spec) mod p^k, computed over integers without forming the rational sum.
-
-    Each rational parameter n/d contributes the integer n + j*d at step j, a
-    ``ConjugatePair`` its quadratic cleared of denominators; the constant
-    denominators and the argument are folded into one scale per step.  Term j
-    is carried as p^v * u: the p-power is stripped from every factor before
-    it enters the unit u, which is kept mod p^(k+g).  The guard g is the
-    number of bottom parameters (a pair counts as two).  The terms are summed
-    over one common denominator, inverted once at the end.
-
-    Raises ZeroDenominatorPochhammer at a vanishing bottom factor and
-    GuardExceeded when a term's valuation drops below -g, whichever comes
-    first, and NegativeValuation when p^e times the sum is not p-integral.
-    """
-    guard = _guard(spec.bottom)
-    precision = k + max(0, -e)  # of the sum itself, before the factor p^e
-    modulus = p ** (precision + guard)
-    top, top_den = _cleared(spec.top)
-    bottom, bottom_den = _cleared(spec.bottom)
-    scale = spec.argument * bottom_den / top_den
-    vanished = not scale
-    if not vanished:
-        v_num, scale_num = _p_split(scale.numerator, p)
-        v_den, scale_den = _p_split(scale.denominator, p)
-        scale_v = v_num - v_den
-    # term j = p^v * num / den; total / den = p^guard * (sum of the terms so far)
-    v, num, den = 0, 1, 1
-    total = p**guard
-    for j in range(spec.terms):
-        bottom_v, bottom_u, index = _factor_product(bottom, j, p, modulus)
-        if index is not None:
-            raise ZeroDenominatorPochhammer(j + 1, index)
-        if vanished:
-            continue
-        top_v, top_u, index = _factor_product(top, j, p, modulus)
-        if index is not None:
-            vanished = True
-            continue
-        step_v, step_u = _p_split(j + 1, p)
-        v += top_v - bottom_v - step_v + scale_v
-        if v < -guard:
-            raise GuardExceeded(
-                f"term {j + 1} has {p}-adic valuation {v}, below the guard -{guard}"
-            )
-        num = num * top_u * scale_num % modulus
-        step_den = bottom_u * step_u * scale_den % modulus
-        den = den * step_den % modulus
-        total = total * step_den
-        if v < precision:
-            total += p ** (v + guard) * num
-        total %= modulus
-    total = total * pow(den, -1, modulus) % modulus
-    shift = e - guard
-    if shift < 0:
-        if total % p**-shift:
-            raise NegativeValuation(
-                f"{p}^{e} times the sum has negative {p}-adic valuation, cannot reduce mod {p}^{k}"
-            )
-        return ResidueInt(total // p**-shift, p, k)
-    return ResidueInt(total * p**shift, p, k)
 
 
 def _prefix_residue(node, p: int, k: int, e: int, guard: int, precision: int) -> ResidueInt:
@@ -337,8 +223,7 @@ def _prefix_residue(node, p: int, k: int, e: int, guard: int, precision: int) ->
     The precision is k + guard + max(0, -e): enough to read Q's unit part
     and (Q + T) / p^(vp(Q) - e) mod p^k once vp(Q) <= guard.
 
-    Raises GuardExceeded when vp(Q) > guard, so that no term of the sum lies
-    below -guard and ``pfq_residue`` would return this same residue, and
+    Raises GuardExceeded when vp(Q) > guard, beyond the fixed precision, and
     NegativeValuation when p^e times the sum is not p-integral.
     """
     _, Q, T = node
@@ -366,8 +251,8 @@ def _prefix_residue(node, p: int, k: int, e: int, guard: int, precision: int) ->
 class SeriesFamily:
     """A truncated series whose parameters and argument are fixed and whose truncation depends on p.
 
-    truncation(p) is the truncation index at p; ``at`` gives the single-prime
-    ``SeriesSpec`` and ``pfq_residues`` sums the family at many primes.
+    truncation(p) is the truncation index at p; ``at`` gives the ``SeriesSpec``
+    at one prime and ``pfq_residues`` sums the family at many primes.
     """
 
     top: tuple[Fraction | ConjugatePair, ...]
@@ -382,19 +267,20 @@ class SeriesFamily:
 def pfq_residues(
     family: SeriesFamily, primes: list[int], k: int, e: int = 0
 ) -> list[ResidueInt | NegativeValuation]:
-    """pfq_residue(family.at(p), p, k, e) for every p of primes, from one remainder tree.
+    """p^e * pfq_truncated(family.at(p)) mod p^k for every p of primes, from one remainder tree.
 
     The family's truncation index must never decrease along primes.  The
     step factors are built once, for the largest truncation; the steps
     between consecutive truncations form segments, summed by ``_split``, and
     ``remainder_tree`` reduces the prefix of each p mod p^(k+g) (for e >= 0),
-    with g the guard of ``pfq_residue``.  Nothing is divided before that, so a bottom factor
-    divisible by p needs no valuation bookkeeping in the tree.
+    with the guard g the number of bottom parameters, a pair counting as two.
+    Nothing is divided before that, so a bottom factor divisible by p needs
+    no valuation bookkeeping in the tree.
 
     Entry i is the residue at primes[i], or the GuardExceeded or
-    NegativeValuation its prefix raised (see ``_prefix_residue``); a residue
-    always equals pfq_residue's.  ZeroDenominatorPochhammer is raised for the
-    whole family when a bottom factor vanishes before the largest truncation.
+    NegativeValuation its prefix raised (see ``_prefix_residue``).
+    ZeroDenominatorPochhammer is raised for the whole family when a bottom
+    factor vanishes before the largest truncation.
     """
     if not primes:
         return []
@@ -421,6 +307,16 @@ def pfq_residues(
     return out
 
 
+def _residue_at(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
+    """p^e * pfq_truncated(spec) mod p^k: ``pfq_residues`` at the one prime p; raises what
+    its prefix raised."""
+    family = SeriesFamily(spec.top, spec.bottom, spec.argument, lambda _: spec.terms)
+    (residue,) = pfq_residues(family, [p], k, e)
+    if isinstance(residue, NegativeValuation):
+        raise residue
+    return residue
+
+
 # --- the concrete truncated sums -------------------------------------------
 
 F = Fraction
@@ -442,7 +338,7 @@ def kilbourn_spec(p: int) -> SeriesSpec:
 
 def kilbourn_lhs(p: int, k: int) -> ResidueInt:
     """The Kilbourn sum mod p^k: congruent to a(p) mod p^3."""
-    return pfq_residue(kilbourn_spec(p), p, k)
+    return _residue_at(kilbourn_spec(p), p, k)
 
 
 THM1 = SeriesFamily((F(1, 2),) * 4, (F(1), F(3, 4), F(5, 4)), F(1), _half_p_minus_1)
@@ -461,7 +357,7 @@ def thm1_spec(p: int) -> SeriesSpec:
 
 def thm1_rhs(p: int, k: int) -> ResidueInt:
     """p times the Theorem 1 sum, mod p^k."""
-    return pfq_residue(thm1_spec(p), p, k, e=1)
+    return _residue_at(thm1_spec(p), p, k, e=1)
 
 
 VANHAMME = SeriesFamily(
@@ -478,7 +374,7 @@ def vanhamme_spec(p: int) -> SeriesSpec:
 
 def vanhamme_lhs(p: int, k: int) -> ResidueInt:
     """The Van Hamme sum mod p^k."""
-    return pfq_residue(vanhamme_spec(p), p, k)
+    return _residue_at(vanhamme_spec(p), p, k)
 
 
 def _half_p_minus_3(p: int) -> int:
@@ -490,10 +386,15 @@ HALF_HARMONIC2 = SeriesFamily((F(1),) * 3, (F(2),) * 2, F(1), _half_p_minus_3)
 
 def half_harmonic2_spec(p: int) -> SeriesSpec:
     """3F2[1,1,1; 2,2; 1] truncated at (p-3)/2: term j is 1/(j+1)^2, so the sum is
-    sum_{j=1}^{(p-1)/2} 1/j^2 (``exact.half_harmonic2``)."""
+    sum_{j=1}^{(p-1)/2} 1/j^2 (``half_harmonic2``)."""
     if p % 2 == 0 or p < 3:
         raise ValueError("p must be an odd prime")
     return HALF_HARMONIC2.at(p)
+
+
+def half_harmonic2(p: int, k: int) -> ResidueInt:
+    """sum_{j=1}^{(p-1)/2} 1/j^2 mod p^k.  Divisible by p for p >= 5 (Wolstenholme)."""
+    return _residue_at(half_harmonic2_spec(p), p, k)
 
 
 # --- identity instances ------------------------------------------------------
@@ -607,19 +508,13 @@ def _c3_closed_form(p: int) -> tuple[int, ConjugatePair, ConjugatePair]:
     return (p + 1) // 4, ConjugatePair(F(1), F(p, 4), TRACE_I), ConjugatePair(F(1, 2), F(p, 4), TRACE_I)
 
 
-def c3_rhs_closed(
-    p: int, k: int, symbols: tuple[ResidueInt, ResidueInt] | None = None
-) -> ResidueInt:
-    """The closed form mod p^k.  Every factor of both products is a p-unit.
+def c3_rhs_closed(p: int, symbols: tuple[ResidueInt, ResidueInt]) -> ResidueInt:
+    """The closed form mod p^k from its symbols (A)_{q-1} and (B)_q mod p^k (``_c3_closed_form``).
 
-    symbols, when given, are (A)_{q-1} and (B)_q mod p^k (``_c3_closed_form``);
-    otherwise they are multiplied here.
+    Every factor of both symbols is a p-unit.
     """
-    q, num, den = _c3_closed_form(p)
-    if symbols is None:
-        symbols = pochhammer_mod(num, q - 1, p, k), pochhammer_mod(den, q, p, k)
     num_symbol, den_symbol = symbols
-    return reduce_mod(F(-(p**3), 16), p, k) * num_symbol * den_symbol.inverse()
+    return reduce_mod(F(-(p**3), 16), p, num_symbol.k) * num_symbol * den_symbol.inverse()
 
 
 def c3_check(p: int) -> IdentityOutcome:
@@ -638,27 +533,3 @@ def c3_check(p: int) -> IdentityOutcome:
     q, num, den = _c3_closed_form(p)
     rhs = _product((-(p**3), 16), pochhammer_pair(num, q - 1), _inverse(pochhammer_pair(den, q)))
     return IdentityOutcome(lhs, rhs)
-
-
-@dataclass(frozen=True)
-class FloatOutcome:
-    partial: float
-    target: float
-    abs_err: float
-
-
-def ramanujan_float_check(terms: int) -> FloatOutcome:
-    """Double-precision partial sum of the full 6F5(-1) against 2/Gamma(3/4)^4.
-
-    The series is sum_k (-1)^k (4k+1) ((1/2)_k / k!)^5; terms decay like
-    k^(-3/2), so 10^4 terms reach ~1e-7.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    partial = 0.0
-    c = 1.0  # ((1/2)_k / k!)^5
-    for k in range(terms):
-        partial += (-1) ** k * (4 * k + 1) * c
-        c *= ((k + 0.5) / (k + 1)) ** 5
-    target = 2 / math.gamma(0.75) ** 4
-    return FloatOutcome(partial, target, abs(partial - target))

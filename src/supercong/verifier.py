@@ -1,11 +1,17 @@
 """Runs the congruence checks across prime ranges and emits machine-readable reports.
 
-Every check is a pure function prime -> CheckOutcome, so a sweep parallelizes
-over primes with no shared state; a check that raises becomes a fail outcome
-naming the exception.  The truncated series whose parameters do not depend
-on p are summed once per sweep, before any task runs, and the Pochhammer
-symbols of b4, b6 and c5 are read off one tree of (1+y)_n; each is handed
-to its check as an optional argument that it would otherwise compute itself.
+Each check is declared once, in ``DECLARATIONS``: the hypotheses it needs
+of p, in order, each with the note of the skipped row when p fails it, and
+the sides it reads, a truncated series (``SeriesSide``) or Pochhammer
+symbols read off (1+y)_n (``RisingSide``).  The check functions and the
+sweep read both from there.  Before any task runs, a sweep computes the
+leaves of every side at all its primes at once (``sweep_leaves``): one
+``pfq_residues`` tree per series and one ``rising_coefficients`` tree for
+all the symbols, each at the largest precision its checks read.  A check
+called on its own computes the same leaves at its one prime.  Every check is
+a pure function prime -> CheckOutcome, so a sweep parallelizes over primes
+with no shared state; a check that raises becomes a fail outcome naming the
+exception, and so does one whose leaf is the exception its prefix raised.
 On n workers the sweep forks n - 1 children once, each running an
 interleaved share of the tasks while the calling process runs the first; a
 child that dies has its tasks become fail outcomes naming how it exited.
@@ -17,6 +23,7 @@ avoid integer-width ambiguity in consumers.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -28,35 +35,31 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
 
 from .eta import TABLE_MAX_BOUND, a_p
 from .exact import (
     TRACE_I,
     TRACE_OMEGA,
-    ConjugatePair,
     ResidueInt,
     fraction_str,
-    half_harmonic2,
-    pochhammer_mod,
     reduce_mod,
     rising_coefficients,
 )
 
 # unused by the checks, but perfbench/tracing.py wraps every name it lists in this module
 from .exact import pochhammer, vp  # noqa: F401
+from .hypergeom import half_harmonic2, kilbourn_lhs, thm1_rhs, vanhamme_lhs  # noqa: F401
 from .hypergeom import (
     HALF_HARMONIC2,
     KILBOURN,
     THM1,
     VANHAMME,
+    SeriesFamily,
     bailey_b1_check,
     c3_check,
     c3_rhs_closed,
-    kilbourn_lhs,
     pfq_residues,
-    thm1_rhs,
-    vanhamme_lhs,
     whipple_c1_check,
 )
 from .padic_gamma import gamma_p
@@ -65,8 +68,6 @@ from .variety import CONV_MAX_P, count_N
 TOOL_VERSION = "0.1.0"
 
 SWISHER_MAX_P = 50
-
-ETA_CAP_NOTE = f"cost cap: eta bound <= {TABLE_MAX_BOUND} for the int64 table"
 
 F = Fraction
 
@@ -129,10 +130,6 @@ class Report:
     summary: dict = field(default_factory=dict)
 
 
-def _skip(check: CheckId, p: int, reason: str) -> CheckOutcome:
-    return CheckOutcome(check, p, "skipped", note=reason)
-
-
 def _residue_outcome(
     check: CheckId, p: int, lhs: ResidueInt, rhs: ResidueInt, note: str = ""
 ) -> CheckOutcome:
@@ -147,233 +144,7 @@ def _identity_outcome(check: CheckId, p: int, outcome, note: str = "") -> CheckO
     return CheckOutcome(check, p, "fail", note=f"{note} {detail}".strip())
 
 
-def check_a1(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
-    """a(p) = 4F3[1/2,1/2,1/2,1/2; 1,1,1; 1]_{(p-1)/2} (mod p^3), every odd prime.
-
-    series, when given, is that sum mod p^3 from the sweep's batch
-    (``series_sides``); otherwise it is summed here.  Every check with a
-    series side takes it the same way.
-    """
-    if p % 2 == 0:
-        return _skip(CheckId.A1, p, "p must be odd")
-    if p > TABLE_MAX_BOUND:
-        return _skip(CheckId.A1, p, ETA_CAP_NOTE)
-    coeff = reduce_mod(a_p(p), p, 3)
-    if series is None:
-        series = kilbourn_lhs(p, 3)
-    return _residue_outcome(CheckId.A1, p, coeff, series)
-
-
-def check_a2(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
-    """a(p) = p * 4F3[1/2,1/2,1/2,1/2; 1,3/4,5/4; 1]_{(p-1)/2} (mod p^3), p >= 5."""
-    if p < 5:
-        return _skip(CheckId.A2, p, "theorem requires p >= 5")
-    if p > TABLE_MAX_BOUND:
-        return _skip(CheckId.A2, p, ETA_CAP_NOTE)
-    coeff = reduce_mod(a_p(p), p, 3)
-    if series is None:
-        series = thm1_rhs(p, 3)
-    return _residue_outcome(CheckId.A2, p, coeff, series)
-
-
-def check_a3(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
-    """Van Hamme (A.2): the truncated 6F5(-1) is -p Gamma_p(1/4)^4 mod p^3 for
-    p = 1 (mod 4) and vanishes mod p^3 for p = 3 (mod 4)."""
-    if p % 2 == 0:
-        return _skip(CheckId.A3, p, "p must be odd")
-    lhs = vanhamme_lhs(p, 3) if series is None else series
-    if p % 4 == 1:
-        rhs = reduce_mod(F(-p), p, 3) * gamma_p(F(1, 4), p, 3) ** 4
-        note = "branch p = 1 (mod 4)"
-    else:
-        rhs = ResidueInt(0, p, 3)
-        note = "branch p = 3 (mod 4): sum vanishes mod p^3"
-    return _residue_outcome(CheckId.A3, p, lhs, rhs, note)
-
-
-def check_a4(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
-    """The p = 3 (mod 4) strengthening: 6F5(-1) = -(p^3/16) Gamma_p(1/4)^4 mod p^4."""
-    if p % 4 != 3:
-        return _skip(CheckId.A4, p, "p != 3 (mod 4)")
-    if p < 7:
-        return _skip(CheckId.A4, p, "theorem requires p >= 7")
-    lhs = vanhamme_lhs(p, 4) if series is None else series
-    rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
-    return _residue_outcome(CheckId.A4, p, lhs, rhs)
-
-
-def check_swisher(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
-    """The p = 1 (mod 4) branch of Van Hamme (A.2) strengthened to mod p^5."""
-    if p % 4 != 1:
-        return _skip(CheckId.A3_SWISHER, p, "p != 1 (mod 4)")
-    if p > SWISHER_MAX_P:
-        return _skip(CheckId.A3_SWISHER, p, f"cost cap: p <= {SWISHER_MAX_P} for mod p^5")
-    lhs = vanhamme_lhs(p, 5) if series is None else series
-    rhs = reduce_mod(F(-p), p, 5) * gamma_p(F(1, 4), p, 5) ** 4
-    return _residue_outcome(CheckId.A3_SWISHER, p, lhs, rhs)
-
-
-def check_b4(p: int, symbols: Optional[tuple[ResidueInt, ...]] = None) -> CheckOutcome:
-    """(1/2)_m ((1-p)/2)_m / [(1+wp/2)_m (1+w^2p/2)_m] = 1 mod p^3, m = (p-1)/2.
-
-    The conjugate-pair denominator is prod_{j<=m} (j^2 - (p/2) j + p^2/4);
-    every factor of the three products is a p-unit, so all of them are
-    multiplied mod p^3.
-
-    symbols, when given, are these three symbols mod p^3 from the sweep's
-    batch (``series_sides``), read off (1+y)_m and (1+y)_{2m}; otherwise they
-    are multiplied here.  b6 and c5 take their symbols the same way.
-    """
-    if p < 5:
-        return _skip(CheckId.B4, p, "requires p >= 5")
-    m = (p - 1) // 2
-    if symbols is None:
-        symbols = (
-            pochhammer_mod(F(1, 2), m, p, 3),
-            pochhammer_mod(F(1 - p, 2), m, p, 3),
-            pochhammer_mod(ConjugatePair(F(1), F(p, 2), TRACE_OMEGA), m, p, 3),
-        )
-    half, shifted, pair = symbols
-    lhs = half * shifted * pair.inverse()
-    return _residue_outcome(CheckId.B4, p, lhs, ResidueInt(1, p, 3))
-
-
-def check_b6(
-    p: int,
-    series: Optional[ResidueInt] = None,
-    symbols: Optional[tuple[ResidueInt, ...]] = None,
-) -> CheckOutcome:
-    """(1+p/2)_m (1-p/2)_m / (1)_m^2 = 1 mod p^3, and the sharper Taylor form
-    1 - (p^2/4) sum_{j<=m} 1/j^2 mod p^4.  Every factor is a p-unit.
-
-    series, when given, is that sum mod p^4 from the sweep's batch, and
-    symbols its three Pochhammer symbols mod p^4, read off (1+y)_m at y = p/2, -p/2, 0.
-    """
-    if p < 5:
-        return _skip(CheckId.B6, p, "requires p >= 5")
-    m = (p - 1) // 2
-    if symbols is None:
-        symbols = (
-            pochhammer_mod(1 + F(p, 2), m, p, 4),
-            pochhammer_mod(1 - F(p, 2), m, p, 4),
-            pochhammer_mod(1, m, p, 4),
-        )
-    plus, minus, factorial = symbols
-    lhs = plus * minus * factorial.inverse() ** 2
-    if series is None:
-        series = half_harmonic2(p, 4)
-    rhs = 1 - reduce_mod(F(p * p, 4), p, 4) * series
-    coarse_ok = (lhs.value - 1) % p**3 == 0
-    if coarse_ok and lhs == rhs:
-        return CheckOutcome(CheckId.B6, p, "pass", lhs, rhs, lhs.modulus)
-    note = []
-    if not coarse_ok:
-        note.append("product != 1 mod p^3")
-    if lhs != rhs:
-        note.append("Taylor form fails mod p^4")
-    return CheckOutcome(CheckId.B6, p, "fail", lhs, rhs, lhs.modulus, "; ".join(note))
-
-
-def check_c5(p: int, symbols: Optional[tuple[ResidueInt, ResidueInt]] = None) -> CheckOutcome:
-    """The rational closed form of the quartic specialization equals
-    -(p^3/16) Gamma_p(1/4)^4 mod p^4 for p = 3 (mod 4).
-
-    symbols, when given, are the closed form's two i-pair symbols mod p^4
-    (``c3_rhs_closed``), read off (1+y)_n at n = q-1, q, 2q, q = (p+1)/4.
-    """
-    if p % 4 != 3:
-        return _skip(CheckId.C5, p, "p != 3 (mod 4)")
-    if p < 7:
-        return _skip(CheckId.C5, p, "requires p >= 7")
-    lhs = c3_rhs_closed(p, 4, symbols)
-    rhs = reduce_mod(F(-(p**3), 16), p, 4) * gamma_p(F(1, 4), p, 4) ** 4
-    return _residue_outcome(CheckId.C5, p, lhs, rhs)
-
-
-def check_wolstenholme(p: int, series: Optional[ResidueInt] = None) -> CheckOutcome:
-    """sum_{j=1}^{(p-1)/2} 1/j^2 = 0 (mod p) for p >= 5."""
-    if p < 5:
-        return _skip(CheckId.WOLSTENHOLME, p, "requires p >= 5")
-    lhs = half_harmonic2(p, 1) if series is None else series
-    return _residue_outcome(CheckId.WOLSTENHOLME, p, lhs, ResidueInt(0, p, 1))
-
-
-def check_trace(p: int) -> CheckOutcome:
-    """a(p) = p^3 - 2p^2 - 7 - N(p) with a(p) from the eta expansion."""
-    if p % 2 == 0:
-        return _skip(CheckId.TRACE_RELATION, p, "p must be odd")
-    if p > CONV_MAX_P:
-        return _skip(CheckId.TRACE_RELATION, p, f"cost cap: p <= {CONV_MAX_P} for the int64 point count")
-    coeff = a_p(p)
-    n_count = count_N(p)
-    ok = coeff == p**3 - 2 * p**2 - 7 - n_count
-    return CheckOutcome(
-        CheckId.TRACE_RELATION, p, "pass" if ok else "fail",
-        note=f"a(p)={coeff} N(p)={n_count}",
-    )
-
-
-def check_b1(p: int) -> CheckOutcome:
-    """Exact equality of both sides of the specialized Bailey transformation (both rational)."""
-    if p % 2 == 0:
-        return _skip(CheckId.B1_IDENTITY, p, "p must be odd")
-    return _identity_outcome(CheckId.B1_IDENTITY, p, bailey_b1_check(p))
-
-
-def check_c3(p: int) -> CheckOutcome:
-    """Exact equality of the quartic 6F5 specialization and its closed form (both rational)."""
-    if p % 4 != 3:
-        return _skip(CheckId.C3_IDENTITY, p, "p != 3 (mod 4)")
-    if p < 7:
-        return _skip(CheckId.C3_IDENTITY, p, "requires p >= 7")
-    return _identity_outcome(CheckId.C3_IDENTITY, p, c3_check(p))
-
-
-def check_c1(n: int, y) -> CheckOutcome:
-    """Exact equality of the terminating Whipple 6F5 and its rational closed form."""
-    return _identity_outcome(CheckId.C1_IDENTITY, n, whipple_c1_check(n, y), note=f"y={Fraction(y)}")
-
-
-def primes_between(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], by a sieve of that window alone.
-
-    The base primes up to isqrt(hi) come from a small sieve of their own, so
-    time and memory are O(sqrt(hi) + (hi - lo)).
-    """
-    lo = max(lo, 2)
-    if hi < lo:
-        return []
-    root = math.isqrt(hi)
-    base = bytearray([1]) * (root + 1)
-    window = bytearray([1]) * (hi - lo + 1)
-    for q in range(2, root + 1):
-        if base[q]:
-            base[q * q :: q] = bytes(len(base[q * q :: q]))
-            start = max(q * q, -(-lo // q) * q) - lo
-            window[start::q] = bytes(len(window[start::q]))
-    return [lo + i for i, prime in enumerate(window) if prime]
-
-
-# Each series summed for a whole sweep at once: its family, the e of pfq_residue,
-# and the precision k at which each check reads it.
-_BATCHED_SERIES = (
-    (KILBOURN, 0, {CheckId.A1: 3}),
-    (THM1, 1, {CheckId.A2: 3}),
-    (VANHAMME, 0, {CheckId.A3: 3, CheckId.A4: 4, CheckId.A3_SWISHER: 5}),
-    (HALF_HARMONIC2, 0, {CheckId.B6: 4, CheckId.WOLSTENHOLME: 1}),
-)
-
-# The primes at which a check sums its series side; it skips the others first.  This
-# only plans the batches: a prime left out sums its own side.
-_SUMS_SERIES_AT = {
-    CheckId.A1: lambda p: p % 2 == 1 and p <= TABLE_MAX_BOUND,
-    CheckId.A2: lambda p: 5 <= p <= TABLE_MAX_BOUND,
-    CheckId.A3: lambda p: p % 2 == 1,
-    CheckId.A4: lambda p: p % 4 == 3 and p >= 7,
-    CheckId.A3_SWISHER: lambda p: p % 4 == 1 and p <= SWISHER_MAX_P,
-    CheckId.B6: lambda p: p >= 5,
-    CheckId.WOLSTENHOLME: lambda p: p >= 5,
-}
+# --- reading Pochhammer symbols off (1+y)_n -----------------------------------
 
 
 def _rising_value(f: list[int], y: int, modulus: int) -> int:
@@ -403,8 +174,9 @@ def _pair_value(f: list[int], y: int, trace: int, modulus: int) -> int:
 
 
 def _b4_symbols(p: int, k: int, f_m: list[int], f_2m: list[int]) -> tuple[ResidueInt, ...]:
-    """check_b4's symbols from F_n = (1+y)_n: (1/2)_m = F_2m(0) / (4^m F_m(0)),
-    ((1-p)/2)_m = F_2m(-p) / (4^m F_m(-p/2)) and the omega pair F_m(wp/2) F_m(w^2 p/2)."""
+    """check_b4's symbols (1/2)_m, ((1-p)/2)_m and (1+wp/2)_m (1+w^2p/2)_m, m = (p-1)/2, from
+    F_n = (1+y)_n: (1/2)_m = F_2m(0) / (4^m F_m(0)), ((1-p)/2)_m = F_2m(-p) / (4^m F_m(-p/2))
+    and the omega pair F_m(wp/2) F_m(w^2 p/2)."""
     modulus = p**k
     half_p = p * pow(2, -1, modulus) % modulus
     four_m = pow(4, (p - 1) // 2, modulus)
@@ -426,7 +198,8 @@ def _b6_symbols(p: int, k: int, f_m: list[int]) -> tuple[ResidueInt, ...]:
 def _c5_symbols(
     p: int, k: int, f_q1: list[int], f_q: list[int], f_2q: list[int]
 ) -> tuple[ResidueInt, ...]:
-    """check_c5's symbols from F_n = (1+y)_n and the i pair N(F)(y) = F(iy) F(-iy):
+    """check_c5's symbols (A)_{q-1} and (B)_q of ``c3_rhs_closed``, q = (p+1)/4, from
+    F_n = (1+y)_n and the i pair N(F)(y) = F(iy) F(-iy):
     (A)_{q-1} = N(F_{q-1})(p/4) and (B)_q = N(F_2q)(p/2) / (16^q N(F_q)(p/4))."""
     modulus = p**k
     quarter_p = p * pow(4, -1, modulus) % modulus
@@ -436,87 +209,295 @@ def _c5_symbols(
     return ResidueInt(num_symbol, p, k), ResidueInt(den_symbol, p, k)
 
 
-class _RisingPlan(NamedTuple):
-    """How a check reads its Pochhammer symbols off (1+y)_n."""
+# --- the declarations ----------------------------------------------------------
 
-    reads_at: Callable[[int], bool]  # the primes at which the check computes them
-    k: int  # the precision of the symbols
-    positions: Callable[[int], tuple[int, ...]]  # the n it reads at p
+
+class Hypothesis(NamedTuple):
+    """A condition a check needs of p, and the note of its skipped row when p fails it."""
+
+    holds: Callable[[int], bool]
+    note: str
+
+
+class SeriesSide(NamedTuple):
+    """p^e times the truncated series ``family`` at p, mod p^k (``pfq_residues``)."""
+
+    family: SeriesFamily
+    e: int
+    k: int
+
+    def read(self, p: int, leaf) -> ResidueInt:
+        """The side from its leaf: the residue at p to a precision of at least k, or the
+        exception that its prefix raised, raised here."""
+        if isinstance(leaf, Exception):
+            raise leaf
+        return ResidueInt(leaf.value, p, self.k)
+
+
+class RisingSide(NamedTuple):
+    """Pochhammer symbols mod p^k, read off (1+y)_n at each of the positions n at p."""
+
+    k: int
+    positions: Callable[[int], tuple[int, ...]]
     symbols: Callable[..., tuple[ResidueInt, ...]]  # (p, k, coefficients at each n) -> symbols
 
+    def read(self, p: int, leaf) -> tuple[ResidueInt, ...]:
+        """The symbols from their leaf: the coefficients of (1+y)_n at each position."""
+        return self.symbols(p, self.k, *leaf)
 
-_RISING_PLANS = {
-    CheckId.B4: _RisingPlan(lambda p: p >= 5, 3, lambda p: (p // 2, p - 1), _b4_symbols),
-    CheckId.B6: _RisingPlan(lambda p: p >= 5, 4, lambda p: (p // 2,), _b6_symbols),
-    CheckId.C5: _RisingPlan(lambda p: p % 4 == 3 and p >= 7, 4,
-                            lambda p: ((p - 3) // 4, (p + 1) // 4, (p + 1) // 2), _c5_symbols),
+
+class Declaration(NamedTuple):
+    """A check's hypotheses, in the order they are tested, and the sides it reads, in the
+    order its function takes them."""
+
+    hypotheses: tuple[Hypothesis, ...]
+    sides: tuple[Union[SeriesSide, RisingSide], ...] = ()
+
+
+_ODD = Hypothesis(lambda p: p % 2 == 1, "p must be odd")
+_ETA_CAP = Hypothesis(lambda p: p <= TABLE_MAX_BOUND,
+                      f"cost cap: eta bound <= {TABLE_MAX_BOUND} for the int64 table")
+_FROM_5 = Hypothesis(lambda p: p >= 5, "requires p >= 5")
+_FROM_7 = Hypothesis(lambda p: p >= 7, "requires p >= 7")
+_3_MOD_4 = Hypothesis(lambda p: p % 4 == 3, "p != 3 (mod 4)")
+
+DECLARATIONS = {
+    CheckId.A1: Declaration((_ODD, _ETA_CAP), (SeriesSide(KILBOURN, 0, 3),)),
+    CheckId.A2: Declaration(
+        (Hypothesis(lambda p: p >= 5, "theorem requires p >= 5"), _ETA_CAP),
+        (SeriesSide(THM1, 1, 3),),
+    ),
+    CheckId.A3: Declaration((_ODD,), (SeriesSide(VANHAMME, 0, 3),)),
+    CheckId.A4: Declaration(
+        (_3_MOD_4, Hypothesis(lambda p: p >= 7, "theorem requires p >= 7")),
+        (SeriesSide(VANHAMME, 0, 4),),
+    ),
+    CheckId.A3_SWISHER: Declaration(
+        (Hypothesis(lambda p: p % 4 == 1, "p != 1 (mod 4)"),
+         Hypothesis(lambda p: p <= SWISHER_MAX_P, f"cost cap: p <= {SWISHER_MAX_P} for mod p^5")),
+        (SeriesSide(VANHAMME, 0, 5),),
+    ),
+    CheckId.B1_IDENTITY: Declaration((_ODD,)),
+    CheckId.B4: Declaration((_FROM_5,), (RisingSide(3, lambda p: (p // 2, p - 1), _b4_symbols),)),
+    CheckId.B6: Declaration(
+        (_FROM_5,),
+        (SeriesSide(HALF_HARMONIC2, 0, 4), RisingSide(4, lambda p: (p // 2,), _b6_symbols)),
+    ),
+    CheckId.C3_IDENTITY: Declaration((_3_MOD_4, _FROM_7)),
+    CheckId.C5: Declaration(
+        (_3_MOD_4, _FROM_7),
+        (RisingSide(4, lambda p: ((p - 3) // 4, (p + 1) // 4, (p + 1) // 2), _c5_symbols),),
+    ),
+    CheckId.WOLSTENHOLME: Declaration((_FROM_5,), (SeriesSide(HALF_HARMONIC2, 0, 1),)),
+    CheckId.TRACE_RELATION: Declaration(
+        (_ODD, Hypothesis(lambda p: p <= CONV_MAX_P,
+                          f"cost cap: p <= {CONV_MAX_P} for the int64 point count")),
+    ),
+    CheckId.C1_IDENTITY: Declaration(()),  # run on a fixed (n, y) grid, not at primes
 }
 
 
-def rising_symbols(
-    primes: list[int], checks: Collection[CheckId]
-) -> dict[CheckId, dict[int, tuple[ResidueInt, ...]]]:
-    """The Pochhammer symbols of each selected check, {check: {p: symbols}}, from one tree.
+def _admits(check: CheckId, p: int) -> bool:
+    return all(hypothesis.holds(p) for hypothesis in DECLARATIONS[check].hypotheses)
 
-    Every position of every prime is a leaf of one ``rising_coefficients``
-    call, at the largest precision K that a selected check reads and with
-    modulus p^K.  Symbols read at fewer than two primes are not batched.
+
+def sweep_leaves(primes: list[int], checks: Collection[CheckId]) -> dict[CheckId, dict[int, tuple]]:
+    """The leaves of each selected check's sides, {check: {p: one leaf per side}}, at each prime
+    the check's hypotheses admit; ``side.read(p, leaf)`` turns a leaf into its side.
+
+    The series sides of one family and e share one ``pfq_residues`` call at
+    every prime one of them reads, at the largest k they read; a series leaf
+    is that residue, or the exception its prefix raised.  Every position of
+    every rising side is a leaf of one ``rising_coefficients`` call, at the
+    largest k read and with modulus p^k; a rising leaf is the coefficients
+    at each of the side's positions.
     """
-    wanted = {c: [p for p in primes if plan.reads_at(p)]
-              for c, plan in _RISING_PLANS.items() if c in checks}
-    if len(set().union(*wanted.values())) < 2:
-        return {}
-    k = max(_RISING_PLANS[c].k for c, ps in wanted.items() if ps)
-    leaves = sorted({(n, p) for c, ps in wanted.items()
-                     for p in ps for n in _RISING_PLANS[c].positions(p)})
-    coefficients = dict(zip(leaves, rising_coefficients([(n, p**k) for n, p in leaves], k)))
-    symbols = {}
-    for check, ps in wanted.items():
-        plan = _RISING_PLANS[check]
-        symbols[check] = {
-            p: plan.symbols(p, plan.k, *(coefficients[n, p] for n in plan.positions(p))) for p in ps
-        }
-    return symbols
+    admitted = {c: [p for p in primes if _admits(c, p)]
+                for c in checks if DECLARATIONS[c].sides}
+    trees = {}  # (family, e) of a series, or None for the rising tree -> the sides that read it
+    for check in admitted:
+        for i, side in enumerate(DECLARATIONS[check].sides):
+            tree = (side.family, side.e) if isinstance(side, SeriesSide) else None
+            trees.setdefault(tree, []).append((check, i, side))
+    leaves = {}  # (check, side index) -> {p: leaf}
+    for tree, sides in trees.items():
+        k = max(side.k for _, _, side in sides)
+        if tree is None:
+            at = sorted({(n, p) for c, _, side in sides
+                         for p in admitted[c] for n in side.positions(p)})
+            coefficients = dict(zip(at, rising_coefficients([(n, p**k) for n, p in at], k)))
+            for c, i, side in sides:
+                leaves[c, i] = {p: tuple(coefficients[n, p] for n in side.positions(p))
+                                for p in admitted[c]}
+        else:
+            family, e = tree
+            read = sorted(set().union(*(admitted[c] for c, _, _ in sides)))
+            residues = dict(zip(read, pfq_residues(family, read, k, e)))
+            for c, i, _ in sides:
+                leaves[c, i] = {p: residues[p] for p in admitted[c]}
+    return {c: {p: tuple(leaves[c, i][p] for i in range(len(DECLARATIONS[c].sides))) for p in ps}
+            for c, ps in admitted.items()}
 
 
-def series_sides(
-    primes: list[int], checks: Collection[CheckId]
-) -> dict[CheckId, dict[int, tuple]]:
-    """The batched optional arguments of each selected check, {check: {p: args}}.
+def _declared(check: CheckId):
+    """Make a check body (p, *sides) -> CheckOutcome into the function of ``check``, (p, *leaves).
 
-    A check's optional arguments are its series side and then its Pochhammer
-    symbols; one it does not take is absent and one not batched at p is None.
-    Each series is summed by ``pfq_residues`` at every prime that one of its
-    checks reads, at the largest precision they read, and reduced for each
-    check.  A prime whose sum raised is left out, so its check sums the side
-    itself and fails exactly as it would alone.  A series read at fewer than
-    two primes is not batched: a tree of one leaf shares nothing.  The
-    symbols of b4, b6 and c5 come from ``rising_symbols``.
+    The function returns the skipped row of the first hypothesis in the
+    check's declaration that p fails.  Otherwise it reads each side from its
+    leaf: the leaves a sweep passes after p, or those of ``sweep_leaves`` at
+    the one prime p when none are passed.
     """
-    sums = {}
-    for family, e, precisions in _BATCHED_SERIES:
-        wanted = {c: [p for p in primes if _SUMS_SERIES_AT[c](p)] for c in precisions if c in checks}
-        read = sorted(set().union(*wanted.values()))
-        if len(read) < 2:
-            continue
-        k = max(precisions[c] for c, ps in wanted.items() if ps)
-        residues = dict(zip(read, pfq_residues(family, read, k, e)))
-        for check, ps in wanted.items():
-            sums[check] = {
-                p: ResidueInt(residues[p].value, p, precisions[check])
-                for p in ps
-                if isinstance(residues[p], ResidueInt)
-            }
-    symbols = rising_symbols(primes, checks)
-    sides = {}
-    for check in checks:
-        batches = [batch.get(check, {})
-                   for batch, takes in ((sums, _SUMS_SERIES_AT), (symbols, _RISING_PLANS))
-                   if check in takes]
-        read = set().union(*batches)
-        if read:
-            sides[check] = {p: tuple(batch.get(p) for batch in batches) for p in sorted(read)}
-    return sides
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run(p: int, *leaves) -> CheckOutcome:
+            hypotheses, sides = DECLARATIONS[check]
+            for holds, note in hypotheses:
+                if not holds(p):
+                    return CheckOutcome(check, p, "skipped", note=note)
+            if sides and not leaves:
+                leaves = sweep_leaves([p], {check})[check][p]
+            return body(p, *[side.read(p, leaf) for side, leaf in zip(sides, leaves)])
+
+        return run
+
+    return wrap
+
+
+# --- the checks ----------------------------------------------------------------
+
+
+@_declared(CheckId.A1)
+def check_a1(p: int, series: ResidueInt) -> CheckOutcome:
+    """a(p) = 4F3[1/2,1/2,1/2,1/2; 1,1,1; 1]_{(p-1)/2} (mod p^3), every odd prime."""
+    return _residue_outcome(CheckId.A1, p, reduce_mod(a_p(p), p, series.k), series)
+
+
+@_declared(CheckId.A2)
+def check_a2(p: int, series: ResidueInt) -> CheckOutcome:
+    """a(p) = p * 4F3[1/2,1/2,1/2,1/2; 1,3/4,5/4; 1]_{(p-1)/2} (mod p^3), p >= 5."""
+    return _residue_outcome(CheckId.A2, p, reduce_mod(a_p(p), p, series.k), series)
+
+
+@_declared(CheckId.A3)
+def check_a3(p: int, series: ResidueInt) -> CheckOutcome:
+    """Van Hamme (A.2): the truncated 6F5(-1) is -p Gamma_p(1/4)^4 mod p^3 for
+    p = 1 (mod 4) and vanishes mod p^3 for p = 3 (mod 4)."""
+    if p % 4 == 1:
+        rhs = reduce_mod(F(-p), p, series.k) * gamma_p(F(1, 4), p, series.k) ** 4
+        note = "branch p = 1 (mod 4)"
+    else:
+        rhs = ResidueInt(0, p, series.k)
+        note = "branch p = 3 (mod 4): sum vanishes mod p^3"
+    return _residue_outcome(CheckId.A3, p, series, rhs, note)
+
+
+@_declared(CheckId.A4)
+def check_a4(p: int, series: ResidueInt) -> CheckOutcome:
+    """The p = 3 (mod 4) strengthening: 6F5(-1) = -(p^3/16) Gamma_p(1/4)^4 mod p^4."""
+    rhs = reduce_mod(F(-(p**3), 16), p, series.k) * gamma_p(F(1, 4), p, series.k) ** 4
+    return _residue_outcome(CheckId.A4, p, series, rhs)
+
+
+@_declared(CheckId.A3_SWISHER)
+def check_swisher(p: int, series: ResidueInt) -> CheckOutcome:
+    """The p = 1 (mod 4) branch of Van Hamme (A.2) strengthened to mod p^5."""
+    rhs = reduce_mod(F(-p), p, series.k) * gamma_p(F(1, 4), p, series.k) ** 4
+    return _residue_outcome(CheckId.A3_SWISHER, p, series, rhs)
+
+
+@_declared(CheckId.B4)
+def check_b4(p: int, symbols: tuple[ResidueInt, ...]) -> CheckOutcome:
+    """(1/2)_m ((1-p)/2)_m / [(1+wp/2)_m (1+w^2p/2)_m] = 1 mod p^3, m = (p-1)/2.
+
+    The conjugate-pair denominator is prod_{j<=m} (j^2 - (p/2) j + p^2/4);
+    every factor of the three symbols is a p-unit.
+    """
+    half, shifted, pair = symbols
+    lhs = half * shifted * pair.inverse()
+    return _residue_outcome(CheckId.B4, p, lhs, ResidueInt(1, p, lhs.k))
+
+
+@_declared(CheckId.B6)
+def check_b6(p: int, series: ResidueInt, symbols: tuple[ResidueInt, ...]) -> CheckOutcome:
+    """(1+p/2)_m (1-p/2)_m / (1)_m^2 = 1 mod p^3, and the sharper Taylor form
+    1 - (p^2/4) sum_{j<=m} 1/j^2 mod p^4.  Every factor is a p-unit."""
+    plus, minus, factorial = symbols
+    lhs = plus * minus * factorial.inverse() ** 2
+    rhs = 1 - reduce_mod(F(p * p, 4), p, series.k) * series
+    coarse_ok = (lhs.value - 1) % p**3 == 0
+    if coarse_ok and lhs == rhs:
+        return CheckOutcome(CheckId.B6, p, "pass", lhs, rhs, lhs.modulus)
+    note = []
+    if not coarse_ok:
+        note.append("product != 1 mod p^3")
+    if lhs != rhs:
+        note.append("Taylor form fails mod p^4")
+    return CheckOutcome(CheckId.B6, p, "fail", lhs, rhs, lhs.modulus, "; ".join(note))
+
+
+@_declared(CheckId.C5)
+def check_c5(p: int, symbols: tuple[ResidueInt, ResidueInt]) -> CheckOutcome:
+    """The rational closed form of the quartic specialization equals
+    -(p^3/16) Gamma_p(1/4)^4 mod p^4 for p = 3 (mod 4)."""
+    lhs = c3_rhs_closed(p, symbols)
+    rhs = reduce_mod(F(-(p**3), 16), p, lhs.k) * gamma_p(F(1, 4), p, lhs.k) ** 4
+    return _residue_outcome(CheckId.C5, p, lhs, rhs)
+
+
+@_declared(CheckId.WOLSTENHOLME)
+def check_wolstenholme(p: int, series: ResidueInt) -> CheckOutcome:
+    """sum_{j=1}^{(p-1)/2} 1/j^2 = 0 (mod p) for p >= 5."""
+    return _residue_outcome(CheckId.WOLSTENHOLME, p, series, ResidueInt(0, p, series.k))
+
+
+@_declared(CheckId.TRACE_RELATION)
+def check_trace(p: int) -> CheckOutcome:
+    """a(p) = p^3 - 2p^2 - 7 - N(p) with a(p) from the eta expansion."""
+    coeff = a_p(p)
+    n_count = count_N(p)
+    ok = coeff == p**3 - 2 * p**2 - 7 - n_count
+    return CheckOutcome(
+        CheckId.TRACE_RELATION, p, "pass" if ok else "fail",
+        note=f"a(p)={coeff} N(p)={n_count}",
+    )
+
+
+@_declared(CheckId.B1_IDENTITY)
+def check_b1(p: int) -> CheckOutcome:
+    """Exact equality of both sides of the specialized Bailey transformation (both rational)."""
+    return _identity_outcome(CheckId.B1_IDENTITY, p, bailey_b1_check(p))
+
+
+@_declared(CheckId.C3_IDENTITY)
+def check_c3(p: int) -> CheckOutcome:
+    """Exact equality of the quartic 6F5 specialization and its closed form (both rational)."""
+    return _identity_outcome(CheckId.C3_IDENTITY, p, c3_check(p))
+
+
+def check_c1(n: int, y) -> CheckOutcome:
+    """Exact equality of the terminating Whipple 6F5 and its rational closed form."""
+    return _identity_outcome(CheckId.C1_IDENTITY, n, whipple_c1_check(n, y), note=f"y={Fraction(y)}")
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi], by a sieve of that window alone.
+
+    The base primes up to isqrt(hi) come from a small sieve of their own, so
+    time and memory are O(sqrt(hi) + (hi - lo)).
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    root = math.isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    window = bytearray([1]) * (hi - lo + 1)
+    for q in range(2, root + 1):
+        if base[q]:
+            base[q * q :: q] = bytes(len(base[q * q :: q]))
+            start = max(q * q, -(-lo // q) * q) - lo
+            window[start::q] = bytes(len(window[start::q]))
+    return [lo + i for i, prime in enumerate(window) if prime]
 
 
 def _run_task(task) -> CheckOutcome:
@@ -615,10 +596,10 @@ def run_suite(
 
     The outcome list is sorted by (check, p, note) and is identical for any
     worker count.  Skipped hypotheses are recorded, never dropped.  Before
-    any task runs, and before any worker is forked, the calling process sums
-    each series side and reads the Pochhammer symbols once for all primes
-    (``series_sides``); a task carries them as the check's optional
-    arguments.  More than one worker needs ``os.fork``.
+    any task runs, and before any worker is forked, the calling process
+    computes the leaves of every check's sides for all primes at once
+    (``sweep_leaves``); a task carries its leaves after p.  More than one
+    worker needs ``os.fork``.
     """
     checks = frozenset(checks)
     if not checks:
@@ -633,7 +614,7 @@ def run_suite(
         raise ConfigError("more than one worker needs os.fork, which this platform lacks")
 
     primes = primes_between(pmin, pmax)
-    sides = series_sides(primes, checks)
+    leaves = sweep_leaves(primes, checks)
     tasks = []
     for check in CheckId:
         if check not in checks:
@@ -641,8 +622,8 @@ def run_suite(
         if check is CheckId.C1_IDENTITY:
             tasks.extend((check, (n, y)) for n in range(C1_MAX_N + 1) for y in C1_SAMPLE_YS)
         else:
-            side = sides.get(check, {})
-            tasks.extend((check, (p, *side[p]) if p in side else (p,)) for p in primes)
+            at = leaves.get(check, {})
+            tasks.extend((check, (p, *at.get(p, ()))) for p in primes)
 
     outcomes = _run_forked(tasks, workers)
     outcomes.sort(key=lambda o: (_CHECK_ORDER[o.check], o.p, o.note))

@@ -1,0 +1,182 @@
+"""Slow references for the series and symbols of ``supercong``, kept for the tests only.
+
+- ``pfq_truncated_reference``: a truncated pFq term by term from its Pochhammer
+  symbols, over Q; the oracle of ``hypergeom.pfq_truncated``.
+- ``pfq_residue``: p^e times a truncated pFq mod p^k by the recurrence run one
+  step at a time, each term carried as p^v times a unit; the oracle of
+  ``hypergeom.pfq_residues``.
+- ``pochhammer_mod``: (param)_n mod p^k multiplied one factor at a time; the
+  oracle of the symbols the checks read off ``exact.rising_coefficients``.
+- ``ramanujan_float_check``: the full Van Hamme 6F5(-1) in double precision
+  against its Gamma closed form, the only float computation of the project.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from supercong.exact import (
+    ConjugatePair,
+    NegativeValuation,
+    ResidueInt,
+    cleared_factor,
+    pochhammer,
+)
+from supercong.hypergeom import (
+    GuardExceeded,
+    SeriesSpec,
+    ZeroDenominatorPochhammer,
+    _guard,
+    _p_split,
+)
+
+
+def _rising(param: Fraction | ConjugatePair, n: int) -> Fraction:
+    if isinstance(param, ConjugatePair):
+        return param.pochhammer(n)
+    return pochhammer(param, n)
+
+
+def pfq_truncated_reference(spec: SeriesSpec) -> Fraction:
+    """From-scratch evaluation via Pochhammer symbols; the slow oracle for pfq_truncated."""
+    total = Fraction(0)
+    for k in range(spec.terms + 1):
+        num = Fraction(1)
+        for a in spec.top:
+            num *= _rising(a, k)
+        den = Fraction(math.factorial(k))
+        for j, b in enumerate(spec.bottom):
+            factor = _rising(b, k)
+            if not factor:
+                raise ZeroDenominatorPochhammer(k, j)
+            den *= factor
+        total += num / den * spec.argument**k
+    return total
+
+
+def _cleared(params) -> tuple[list[tuple[int, int, int]], int]:
+    """Each parameter's integer factor coefficients (``cleared_factor``) and the product of the d's."""
+    coeffs, den = [], 1
+    for param in params:
+        c, d = cleared_factor(param)
+        coeffs.append(c)
+        den *= d
+    return coeffs, den
+
+
+def _factor_product(coeffs, j: int, p: int, modulus: int) -> tuple[int, int, int | None]:
+    """(v, u, None) with the product of the factors at offset j = p^v * u (u mod modulus),
+    or (0, 0, index) when the factor of parameter #index vanishes."""
+    v, u = 0, 1
+    for index, (c0, c1, c2) in enumerate(coeffs):
+        x = c0 + j * (c1 + j * c2)
+        if not x:
+            return 0, 0, index
+        while x % p == 0:
+            x //= p
+            v += 1
+        u = u * x % modulus
+    return v, u, None
+
+
+def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
+    """p^e * pfq_truncated(spec) mod p^k, computed over integers without forming the rational sum.
+
+    Each rational parameter n/d contributes the integer n + j*d at step j, a
+    ``ConjugatePair`` its quadratic cleared of denominators; the constant
+    denominators and the argument are folded into one scale per step.  Term j
+    is carried as p^v * u: the p-power is stripped from every factor before
+    it enters the unit u, which is kept mod p^(k+g).  The guard g is the
+    number of bottom parameters (a pair counts as two).  The terms are summed
+    over one common denominator, inverted once at the end.
+
+    Raises ZeroDenominatorPochhammer at a vanishing bottom factor and
+    GuardExceeded when a term's valuation drops below -g, whichever comes
+    first, and NegativeValuation when p^e times the sum is not p-integral.
+    """
+    guard = _guard(spec.bottom)
+    precision = k + max(0, -e)  # of the sum itself, before the factor p^e
+    modulus = p ** (precision + guard)
+    top, top_den = _cleared(spec.top)
+    bottom, bottom_den = _cleared(spec.bottom)
+    scale = spec.argument * bottom_den / top_den
+    vanished = not scale
+    if not vanished:
+        v_num, scale_num = _p_split(scale.numerator, p)
+        v_den, scale_den = _p_split(scale.denominator, p)
+        scale_v = v_num - v_den
+    # term j = p^v * num / den; total / den = p^guard * (sum of the terms so far)
+    v, num, den = 0, 1, 1
+    total = p**guard
+    for j in range(spec.terms):
+        bottom_v, bottom_u, index = _factor_product(bottom, j, p, modulus)
+        if index is not None:
+            raise ZeroDenominatorPochhammer(j + 1, index)
+        if vanished:
+            continue
+        top_v, top_u, index = _factor_product(top, j, p, modulus)
+        if index is not None:
+            vanished = True
+            continue
+        step_v, step_u = _p_split(j + 1, p)
+        v += top_v - bottom_v - step_v + scale_v
+        if v < -guard:
+            raise GuardExceeded(
+                f"term {j + 1} has {p}-adic valuation {v}, below the guard -{guard}"
+            )
+        num = num * top_u * scale_num % modulus
+        step_den = bottom_u * step_u * scale_den % modulus
+        den = den * step_den % modulus
+        total = total * step_den
+        if v < precision:
+            total += p ** (v + guard) * num
+        total %= modulus
+    total = total * pow(den, -1, modulus) % modulus
+    shift = e - guard
+    if shift < 0:
+        if total % p**-shift:
+            raise NegativeValuation(
+                f"{p}^{e} times the sum has negative {p}-adic valuation, cannot reduce mod {p}^{k}"
+            )
+        return ResidueInt(total // p**-shift, p, k)
+    return ResidueInt(total * p**shift, p, k)
+
+
+def pochhammer_mod(param: Fraction | int | ConjugatePair, n: int, p: int, k: int) -> ResidueInt:
+    """(param)_n mod p^k, multiplying integer factors; the denominator must be a p-unit."""
+    if n < 0:
+        raise ValueError("pochhammer index must be >= 0")
+    (c0, c1, c2), den = cleared_factor(param)
+    if den % p == 0:
+        raise NegativeValuation(f"{param} has {p} in its denominator, cannot reduce mod {p}^{k}")
+    modulus = p**k
+    out = 1
+    for j in range(n):
+        out = out * (c0 + j * (c1 + j * c2)) % modulus
+    return ResidueInt(out * pow(den, -n, modulus), p, k)
+
+
+@dataclass(frozen=True)
+class FloatOutcome:
+    partial: float
+    target: float
+    abs_err: float
+
+
+def ramanujan_float_check(terms: int) -> FloatOutcome:
+    """Double-precision partial sum of the full 6F5(-1) against 2/Gamma(3/4)^4.
+
+    The series is sum_k (-1)^k (4k+1) ((1/2)_k / k!)^5; terms decay like
+    k^(-3/2), so 10^4 terms reach ~1e-7.
+    """
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    partial = 0.0
+    c = 1.0  # ((1/2)_k / k!)^5
+    for k in range(terms):
+        partial += (-1) ** k * (4 * k + 1) * c
+        c *= ((k + 0.5) / (k + 1)) ** 5
+    target = 2 / math.gamma(0.75) ** 4
+    return FloatOutcome(partial, target, abs(partial - target))

@@ -8,12 +8,12 @@ import random
 import time
 from fractions import Fraction as F
 
+from oracles import ramanujan_float_check
 from supercong.eta import f_coefficients
 from supercong.exact import pochhammer, reduce_mod, vp
 from supercong.hypergeom import (
     bailey_b1_check,
     c3_check,
-    ramanujan_float_check,
     whipple_c1_check,
 )
 from supercong.padic_gamma import gamma_p, gamma_p_int, sp

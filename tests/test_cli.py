@@ -179,6 +179,11 @@ class TestOtherCommands:
         assert code == 0
         assert "18 (mod 5^2)" in out
 
+    def test_count_brute_over_its_cap_prints_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--p", "17", "--brute")
+        assert code == 2 and out == ""
+        assert err == "error: --brute is capped at p <= 13, got 17\n"
+
     @pytest.mark.parametrize("p", ["2", "9"])
     def test_count_rejects_non_odd_prime(self, capsys, p):
         code, out, err = run_cli(capsys, "count", "--p", p)

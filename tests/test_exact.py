@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import pochhammer_mod
 from qzeta import QZeta, rising, zeta
 from supercong.exact import (
     TRACE_I,
@@ -19,16 +20,15 @@ from supercong.exact import (
     cleared_factor,
     cleared_progression,
     fraction_str,
-    half_harmonic2,
     is_prime,
     pochhammer,
-    pochhammer_mod,
     pochhammer_pair,
     product_tree,
     reduce_mod,
     rising_coefficients,
     vp,
 )
+from supercong.hypergeom import half_harmonic2
 from supercong.verifier import primes_between
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=9)

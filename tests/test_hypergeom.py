@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qzeta
+from oracles import pfq_residue, pfq_truncated_reference, pochhammer_mod, ramanujan_float_check
 from supercong import hypergeom
 from supercong.eta import a_p
 from supercong.exact import (
@@ -17,7 +18,6 @@ from supercong.exact import (
     Progression,
     cleared_factor,
     cleared_progression,
-    half_harmonic2,
     pochhammer,
     reduce_mod,
     vp,
@@ -37,14 +37,12 @@ from supercong.hypergeom import (
     bailey_b1_check,
     c3_check,
     c3_rhs_closed,
+    half_harmonic2,
     half_harmonic2_spec,
     kilbourn_lhs,
     kilbourn_spec,
-    pfq_residue,
     pfq_residues,
     pfq_truncated,
-    pfq_truncated_reference,
-    ramanujan_float_check,
     thm1_rhs,
     thm1_spec,
     vanhamme_lhs,
@@ -562,7 +560,9 @@ class TestC3:
         assert den.as_rational() == den_collapsed
         closed = -p * num_collapsed / den_collapsed
         assert c3_check(p).rhs == closed
-        assert c3_rhs_closed(p, 4) == reduce_mod(closed, p, 4)
+        q, num, den = hypergeom._c3_closed_form(p)
+        symbols = pochhammer_mod(num, q - 1, p, 4), pochhammer_mod(den, q, p, 4)
+        assert c3_rhs_closed(p, symbols) == reduce_mod(closed, p, 4)
 
     @pytest.mark.parametrize("p", [p for p in primes_between(7, 50) if p % 4 == 3])
     def test_sides_match_qzeta_oracle(self, p):

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import signal
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import pfq_residue, pochhammer_mod
 from supercong import hypergeom, verifier
 from supercong.eta import TABLE_MAX_BOUND
 from supercong.exact import (
@@ -15,15 +17,14 @@ from supercong.exact import (
     ConjugatePair,
     NegativeValuation,
     ResidueInt,
-    half_harmonic2,
     is_prime,
     pochhammer,
-    pochhammer_mod,
     reduce_mod,
     vp,
 )
 from supercong.variety import CONV_MAX_P
 from supercong.verifier import (
+    DECLARATIONS,
     CheckId,
     CheckOutcome,
     ConfigError,
@@ -45,7 +46,7 @@ from supercong.verifier import (
     parse_report,
     primes_between,
     run_suite,
-    series_sides,
+    sweep_leaves,
 )
 
 # the checks whose Pochhammer symbols a sweep reads off one tree for all primes at once
@@ -315,7 +316,7 @@ class TestForkedWorkers:
 
 
 def direct_symbols(check, p):
-    """The Pochhammer symbols check_b4, check_b6 or check_c5 multiplies by itself at p."""
+    """The Pochhammer symbols of check_b4, check_b6 or check_c5 at p, one factor at a time."""
     m, q = (p - 1) // 2, (p + 1) // 4
     if check is CheckId.B4:
         return (pochhammer_mod(F(1, 2), m, p, 3), pochhammer_mod(F(1 - p, 2), m, p, 3),
@@ -327,28 +328,39 @@ def direct_symbols(check, p):
             pochhammer_mod(ConjugatePair(F(1, 2), F(p, 4), TRACE_I), q, p, 4))
 
 
+def sides_at(check, p, leaves):
+    """Each side of check at p, read from its leaves."""
+    return tuple(side.read(p, leaf) for side, leaf in zip(DECLARATIONS[check].sides, leaves))
+
+
+@functools.cache
+def sweep(lo, hi):
+    return run_suite(lo, hi, BATCHED, workers=1)
+
+
 class TestBatchedSides:
     def test_sides_match_the_single_prime_sums(self):
         primes = primes_between(2, 400)
-        sides = series_sides(primes, BATCHED)
+        leaves = sweep_leaves(primes, BATCHED)
         single = {
-            CheckId.A1: lambda p: hypergeom.kilbourn_lhs(p, 3),
-            CheckId.A2: lambda p: hypergeom.thm1_rhs(p, 3),
-            CheckId.A3: lambda p: hypergeom.vanhamme_lhs(p, 3),
-            CheckId.A4: lambda p: hypergeom.vanhamme_lhs(p, 4),
-            CheckId.A3_SWISHER: lambda p: hypergeom.vanhamme_lhs(p, 5),
-            CheckId.B6: lambda p: half_harmonic2(p, 4),
-            CheckId.WOLSTENHOLME: lambda p: half_harmonic2(p, 1),
+            CheckId.A1: lambda p: pfq_residue(hypergeom.kilbourn_spec(p), p, 3),
+            CheckId.A2: lambda p: pfq_residue(hypergeom.thm1_spec(p), p, 3, e=1),
+            CheckId.A3: lambda p: pfq_residue(hypergeom.vanhamme_spec(p), p, 3),
+            CheckId.A4: lambda p: pfq_residue(hypergeom.vanhamme_spec(p), p, 4),
+            CheckId.A3_SWISHER: lambda p: pfq_residue(hypergeom.vanhamme_spec(p), p, 5),
+            CheckId.B6: lambda p: pfq_residue(hypergeom.half_harmonic2_spec(p), p, 4),
+            CheckId.WOLSTENHOLME: lambda p: pfq_residue(hypergeom.half_harmonic2_spec(p), p, 1),
         }
-        assert sides.keys() == BATCHED
+        assert leaves.keys() == BATCHED
         for check, sum_at in single.items():
-            side = sides[check]
-            assert side and {p: args[0] for p, args in side.items()} == {p: sum_at(p) for p in side}, check
+            at = leaves[check]
+            assert at, check
+            assert {p: sides_at(check, p, at[p])[0] for p in at} == {p: sum_at(p) for p in at}, check
         # the primes each check would skip are left out
-        assert min(sides[CheckId.A2]) == 5 and 2 not in sides[CheckId.A1]
-        assert all(p % 4 == 1 and p <= verifier.SWISHER_MAX_P for p in sides[CheckId.A3_SWISHER])
-        assert sorted(sides[CheckId.C5]) == [p for p in primes if p % 4 == 3 and p >= 7]
-        assert sorted(sides[CheckId.B4]) == sorted(sides[CheckId.B6]) == primes_between(5, 400)
+        assert min(leaves[CheckId.A2]) == 5 and 2 not in leaves[CheckId.A1]
+        assert all(p % 4 == 1 and p <= verifier.SWISHER_MAX_P for p in leaves[CheckId.A3_SWISHER])
+        assert sorted(leaves[CheckId.C5]) == [p for p in primes if p % 4 == 3 and p >= 7]
+        assert sorted(leaves[CheckId.B4]) == sorted(leaves[CheckId.B6]) == primes_between(5, 400)
 
     def test_sweep_reads_the_batched_side(self, monkeypatch):
         monkeypatch.setattr(verifier, "pfq_residues",
@@ -367,42 +379,58 @@ class TestBatchedSides:
         assert [o.lhs_residue for o in report.outcomes if o.p >= 5] == [
             ResidueInt(16, p, 3).inverse() ** ((p - 1) // 2) for p in primes_between(5, 40)]
 
-    def test_prime_left_out_of_the_batch_is_a_direct_call(self, monkeypatch):
+    def test_a_raising_leaf_is_a_fail_row(self, monkeypatch):
         real = verifier.pfq_residues
 
         def raise_at_second(family, primes, k, e=0):
             out = real(family, primes, k, e)
-            out[1] = NegativeValuation("left out")
+            out[1] = NegativeValuation("at the second prime")
             return out
 
         monkeypatch.setattr(verifier, "pfq_residues", raise_at_second)
-        sides = series_sides(primes_between(3, 60), BATCHED)
-        assert 5 not in sides[CheckId.A1] and 3 in sides[CheckId.A1]
-        # the half harmonic sum starts at 5, so b6's series is left out at 7 but its symbols are not
-        assert sides[CheckId.B6][7] == (None, direct_symbols(CheckId.B6, 7))
-        report = run_suite(3, 60, BATCHED, workers=1)
+        report = run_suite(3, 60, BATCHED, workers=2)
+        monkeypatch.undo()
+        # the second prime of each family's batch: a1 and the Van Hamme sum (a3, and
+        # swisher; a4 starts at 7) are summed from 3, a2 and the half harmonic sum from 5
+        failed = {(o.check, o.p): o.note for o in report.outcomes if o.status == "fail"}
+        assert failed == {
+            (check, p): "NegativeValuation: at the second prime"
+            for check, p in [(CheckId.A1, 5), (CheckId.A3, 5), (CheckId.A3_SWISHER, 5),
+                             (CheckId.A2, 7), (CheckId.B6, 7), (CheckId.WOLSTENHOLME, 7)]
+        }
+        clean = run_suite(3, 60, BATCHED, workers=1)
+        assert [o for o in report.outcomes if o.status != "fail"] == [
+            o for o in clean.outcomes if (o.check, o.p) not in failed]
+        with pytest.raises(NegativeValuation, match="alone"):
+            check_a1(5, NegativeValuation("alone"))
+
+    @pytest.mark.parametrize("lo, hi", [(3, 400), (10000, 10100)])
+    def test_batched_rows_are_the_direct_rows(self, lo, hi):
+        report = sweep(lo, hi)
+        assert len(report.outcomes) == len(BATCHED) * len(primes_between(lo, hi))
         for outcome in report.outcomes:
             assert outcome == getattr(verifier, f"check_{outcome.check.value}")(outcome.p)
 
     @pytest.mark.parametrize("lo, hi", [(3, 400), (10000, 10100)])
-    def test_batched_rows_are_the_direct_rows(self, lo, hi):
-        report = run_suite(lo, hi, PRODUCTS | {CheckId.WOLSTENHOLME}, workers=1)
-        assert len(report.outcomes) == 4 * len(primes_between(lo, hi))
-        for outcome in report.outcomes:
-            assert outcome == getattr(verifier, f"check_{outcome.check.value}")(outcome.p)
+    def test_one_prime_window_is_the_sweep_row(self, lo, hi):
+        for outcome in sweep(lo, hi).outcomes:
+            p = outcome.p
+            assert run_suite(p, p, {outcome.check}, workers=1).outcomes == (outcome,)
 
     def test_direct_call_with_and_without_the_side(self):
-        sides = series_sides([2111, 2113], {CheckId.A1, CheckId.B4, CheckId.B6})
+        leaves = sweep_leaves([2111, 2113], {CheckId.A1, CheckId.B4, CheckId.B6})
         for p in (2111, 2113):
-            assert check_a1(p, *sides[CheckId.A1][p]) == check_a1(p)
-            assert check_b4(p, *sides[CheckId.B4][p]) == check_b4(p)
-            assert check_b6(p, *sides[CheckId.B6][p]) == check_b6(p)
+            assert check_a1(p, *leaves[CheckId.A1][p]) == check_a1(p)
+            assert check_b4(p, *leaves[CheckId.B4][p]) == check_b4(p)
+            assert check_b6(p, *leaves[CheckId.B6][p]) == check_b6(p)
 
-    def test_one_prime_is_not_batched(self):
-        assert series_sides([101], BATCHED) == {}
-        assert series_sides([2, 3], {CheckId.A2}) == {}
-        assert series_sides([2, 3, 5], PRODUCTS) == {}
-        assert series_sides([5, 7], {CheckId.C5}) == {}
+    def test_one_prime_is_batched(self):
+        leaves = sweep_leaves([101], BATCHED)
+        assert {check: list(at) for check, at in leaves.items()} == {
+            check: [101] if check not in (CheckId.A4, CheckId.A3_SWISHER, CheckId.C5) else []
+            for check in BATCHED
+        }
+        assert sweep_leaves([2, 3], {CheckId.A2}) == {CheckId.A2: {}}
 
 
 class TestRisingSymbols:
@@ -412,16 +440,17 @@ class TestRisingSymbols:
     @pytest.mark.parametrize("lo, hi", [(3, 3000), (10000, 10100)])
     def test_every_symbol_matches_pochhammer_mod(self, lo, hi):
         primes = primes_between(lo, hi)
-        together = verifier.rising_symbols(primes, PRODUCTS)
-        alone = {check: verifier.rising_symbols(primes, {check})[check] for check in PRODUCTS}
+        together = sweep_leaves(primes, PRODUCTS)
+        alone = {check: sweep_leaves(primes, {check})[check] for check in PRODUCTS}
         for check in PRODUCTS:
             assert together[check].keys() == alone[check].keys()
-            for p, symbols in together[check].items():
+            for p, leaves in together[check].items():
+                symbols = sides_at(check, p, leaves)[-1]
                 direct = direct_symbols(check, p)
                 assert len(symbols) == len(direct)
                 for i, (batched, single) in enumerate(zip(symbols, direct)):
                     assert batched == single, (check, p, i)
-                    assert alone[check][p][i] == single, (check, p, i)
+                    assert sides_at(check, p, alone[check][p])[-1][i] == single, (check, p, i)
         assert sorted(together[CheckId.B4]) == sorted(together[CheckId.B6]) == [p for p in primes if p >= 5]
         assert sorted(together[CheckId.C5]) == [p for p in primes if p % 4 == 3 and p >= 7]
 
@@ -431,9 +460,12 @@ class TestDispatch:
         for check in CheckId:
             assert callable(getattr(verifier, f"check_{check.value}")), check
 
+    def test_every_check_has_one_declaration(self):
+        assert DECLARATIONS.keys() == set(CheckId)
+
     def test_check_is_looked_up_when_the_task_runs(self, monkeypatch):
         stub = CheckOutcome(CheckId.A1, 3, "pass", note="stub")
-        monkeypatch.setattr(verifier, "check_a1", lambda p: stub)
+        monkeypatch.setattr(verifier, "check_a1", lambda p, *leaves: stub)
         report = run_suite(3, 3, {CheckId.A1}, workers=1)
         assert report.outcomes == (stub,)
 
@@ -547,13 +579,15 @@ class TestResiduesAgainstFractionForms:
 
     def test_b6_failure_names_both_parts(self, monkeypatch):
         # a product that is off by p^2 fails the mod p^3 test and the Taylor form
-        real = verifier.pochhammer_mod
+        declaration = DECLARATIONS[CheckId.B6]
+        series, rising = declaration.sides
 
-        def off(param, n, p, k):
-            value = real(param, n, p, k)
-            return value * (1 + p * p) if param == 1 + F(p, 2) else value
+        def off(p, k, *leaf):
+            plus, minus, factorial = rising.symbols(p, k, *leaf)
+            return plus * (1 + p * p), minus, factorial
 
-        monkeypatch.setattr(verifier, "pochhammer_mod", off)
+        sides = (series, rising._replace(symbols=off))
+        monkeypatch.setitem(DECLARATIONS, CheckId.B6, declaration._replace(sides=sides))
         outcome = check_b6(7)
         assert outcome.status == "fail"
         assert outcome.note == "product != 1 mod p^3; Taylor form fails mod p^4"
@@ -589,7 +623,8 @@ class TestCostCaps:
     def test_row_does_not_depend_on_the_window(self, monkeypatch):
         # the (A1, 2^19 - 1) row is decided from p alone, whatever else the sweep holds
         monkeypatch.setattr(verifier, "a_p", lambda p: 0)
-        monkeypatch.setattr(verifier, "kilbourn_lhs", lambda p, k: ResidueInt(0, p, k))
+        monkeypatch.setattr(verifier, "pfq_residues",
+                            lambda family, primes, k, e=0: [ResidueInt(0, p, k) for p in primes])
         p = (1 << 19) - 1
         alone = run_suite(p, p, {CheckId.A1}, workers=1)
         wider = run_suite(p, FIRST_PRIME_OVER_CAPS, {CheckId.A1}, workers=1)
