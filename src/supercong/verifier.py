@@ -2,13 +2,15 @@
 
 Each check is declared once, in ``DECLARATIONS``: the hypotheses it needs
 of p, in order, each with the note of the skipped row when p fails it, and
-the sides it reads, a truncated series (``SeriesSide``) or Pochhammer
-symbols read off (1+y)_n (``RisingSide``).  The check functions and the
-sweep read both from there.  Before any task runs, a sweep computes the
-leaves of every side at all its primes at once (``sweep_leaves``): one
-``pfq_residues`` tree per series and one ``rising_coefficients`` tree for
-all the symbols, each at the largest precision its checks read.  A check
-called on its own computes the same leaves at its one prime.  Every check is
+the sides it reads, of three kinds: a truncated series (``SeriesSide``),
+Gamma_p at a fixed argument (``GammaSide``), or Pochhammer symbols read off
+(1+y)_n (``RisingSide``).  The check functions and the sweep read both from
+there.  Before any task runs, a sweep computes the leaves of every side at
+all its primes at once (``sweep_leaves``): one ``pfq_residues`` tree per
+series and one ``rising_coefficients`` tree for all the symbols, each at
+the largest precision its checks read, and one ``gamma_p`` call per
+argument and prime, at the largest precision read there.  A check called
+on its own computes the same leaves at its one prime.  Every check is
 a pure function prime -> CheckOutcome, so a sweep parallelizes over primes
 with no shared state; a check that raises becomes a fail outcome naming the
 exception, and so does one whose leaf is the exception its prefix raised.
@@ -31,7 +33,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
@@ -219,6 +221,14 @@ class Hypothesis(NamedTuple):
     note: str
 
 
+def _read_residue(p: int, k: int, leaf) -> ResidueInt:
+    """A residue leaf, at a precision of at least k, reduced mod p^k; a leaf that is the
+    exception its computation raised is raised here."""
+    if isinstance(leaf, Exception):
+        raise leaf
+    return ResidueInt(leaf.value, p, k)
+
+
 class SeriesSide(NamedTuple):
     """p^e times the truncated series ``family`` at p, mod p^k (``pfq_residues``)."""
 
@@ -227,11 +237,22 @@ class SeriesSide(NamedTuple):
     k: int
 
     def read(self, p: int, leaf) -> ResidueInt:
-        """The side from its leaf: the residue at p to a precision of at least k, or the
-        exception that its prefix raised, raised here."""
-        if isinstance(leaf, Exception):
-            raise leaf
-        return ResidueInt(leaf.value, p, self.k)
+        """The side from its leaf: the residue at p, or the exception its prefix raised."""
+        return _read_residue(p, self.k, leaf)
+
+
+class GammaSide(NamedTuple):
+    """Gamma_p(x) mod p^k at the primes where ``at(p)`` holds (``gamma_p``)."""
+
+    x: Fraction
+    k: int
+    at: Callable[[int], bool] = lambda p: True
+
+    def read(self, p: int, leaf) -> Optional[ResidueInt]:
+        """The side from its leaf: Gamma_p(x) at p, or the exception ``gamma_p`` raised; None
+        at a prime where ``at`` fails.  Gamma_p is 1-Lipschitz, so Gamma_p(x) mod p^K for
+        any K >= k reduces to Gamma_p(x) mod p^k."""
+        return None if leaf is None else _read_residue(p, self.k, leaf)
 
 
 class RisingSide(NamedTuple):
@@ -251,7 +272,7 @@ class Declaration(NamedTuple):
     order its function takes them."""
 
     hypotheses: tuple[Hypothesis, ...]
-    sides: tuple[Union[SeriesSide, RisingSide], ...] = ()
+    sides: tuple[Union[SeriesSide, GammaSide, RisingSide], ...] = ()
 
 
 _ODD = Hypothesis(lambda p: p % 2 == 1, "p must be odd")
@@ -260,6 +281,7 @@ _ETA_CAP = Hypothesis(lambda p: p <= TABLE_MAX_BOUND,
 _FROM_5 = Hypothesis(lambda p: p >= 5, "requires p >= 5")
 _FROM_7 = Hypothesis(lambda p: p >= 7, "requires p >= 7")
 _3_MOD_4 = Hypothesis(lambda p: p % 4 == 3, "p != 3 (mod 4)")
+QUARTER = F(1, 4)
 
 DECLARATIONS = {
     CheckId.A1: Declaration((_ODD, _ETA_CAP), (SeriesSide(KILBOURN, 0, 3),)),
@@ -267,15 +289,18 @@ DECLARATIONS = {
         (Hypothesis(lambda p: p >= 5, "theorem requires p >= 5"), _ETA_CAP),
         (SeriesSide(THM1, 1, 3),),
     ),
-    CheckId.A3: Declaration((_ODD,), (SeriesSide(VANHAMME, 0, 3),)),
+    CheckId.A3: Declaration(
+        (_ODD,),
+        (SeriesSide(VANHAMME, 0, 3), GammaSide(QUARTER, 3, at=lambda p: p % 4 == 1)),
+    ),
     CheckId.A4: Declaration(
         (_3_MOD_4, Hypothesis(lambda p: p >= 7, "theorem requires p >= 7")),
-        (SeriesSide(VANHAMME, 0, 4),),
+        (SeriesSide(VANHAMME, 0, 4), GammaSide(QUARTER, 4)),
     ),
     CheckId.A3_SWISHER: Declaration(
         (Hypothesis(lambda p: p % 4 == 1, "p != 1 (mod 4)"),
          Hypothesis(lambda p: p <= SWISHER_MAX_P, f"cost cap: p <= {SWISHER_MAX_P} for mod p^5")),
-        (SeriesSide(VANHAMME, 0, 5),),
+        (SeriesSide(VANHAMME, 0, 5), GammaSide(QUARTER, 5)),
     ),
     CheckId.B1_IDENTITY: Declaration((_ODD,)),
     CheckId.B4: Declaration((_FROM_5,), (RisingSide(3, lambda p: (p // 2, p - 1), _b4_symbols),)),
@@ -286,7 +311,8 @@ DECLARATIONS = {
     CheckId.C3_IDENTITY: Declaration((_3_MOD_4, _FROM_7)),
     CheckId.C5: Declaration(
         (_3_MOD_4, _FROM_7),
-        (RisingSide(4, lambda p: ((p - 3) // 4, (p + 1) // 4, (p + 1) // 2), _c5_symbols),),
+        (GammaSide(QUARTER, 4),
+         RisingSide(4, lambda p: ((p - 3) // 4, (p + 1) // 4, (p + 1) // 2), _c5_symbols)),
     ),
     CheckId.WOLSTENHOLME: Declaration((_FROM_5,), (SeriesSide(HALF_HARMONIC2, 0, 1),)),
     CheckId.TRACE_RELATION: Declaration(
@@ -301,28 +327,56 @@ def _admits(check: CheckId, p: int) -> bool:
     return all(hypothesis.holds(p) for hypothesis in DECLARATIONS[check].hypotheses)
 
 
+def _tree(side) -> tuple:
+    """The tree a side's leaves come from: its kind and what the kind's sides share."""
+    if isinstance(side, SeriesSide):
+        return SeriesSide, side.family, side.e
+    if isinstance(side, GammaSide):
+        return GammaSide, side.x
+    return (RisingSide,)
+
+
+def _gamma_leaf(x: Fraction, p: int, k: int):
+    """Gamma_p(x) mod p^k, or the exception ``gamma_p`` raised."""
+    try:
+        return gamma_p(x, p, k)  # the module attribute, read at run time
+    except Exception as exc:
+        return exc
+
+
 def sweep_leaves(primes: list[int], checks: Collection[CheckId]) -> dict[CheckId, dict[int, tuple]]:
     """The leaves of each selected check's sides, {check: {p: one leaf per side}}, at each prime
     the check's hypotheses admit; ``side.read(p, leaf)`` turns a leaf into its side.
 
     The series sides of one family and e share one ``pfq_residues`` call at
     every prime one of them reads, at the largest k they read; a series leaf
-    is that residue, or the exception its prefix raised.  Every position of
-    every rising side is a leaf of one ``rising_coefficients`` call, at the
-    largest k read and with modulus p^k; a rising leaf is the coefficients
-    at each of the side's positions.
+    is that residue, or the exception its prefix raised.  The Gamma_p sides
+    of one x share one ``gamma_p(x, p, k)`` call at each prime where one of
+    them is read, at the largest k read there; a Gamma_p leaf is that
+    residue, the exception the call raised, or None where the side's ``at``
+    fails.  Every position of every rising side is a leaf of one
+    ``rising_coefficients`` call, at the largest k read and with modulus
+    p^k; a rising leaf is the coefficients at each of the side's positions.
     """
     admitted = {c: [p for p in primes if _admits(c, p)]
                 for c in checks if DECLARATIONS[c].sides}
-    trees = {}  # (family, e) of a series, or None for the rising tree -> the sides that read it
+    trees = {}  # _tree(side) -> the (check, side index, side) of the sides that read it
     for check in admitted:
         for i, side in enumerate(DECLARATIONS[check].sides):
-            tree = (side.family, side.e) if isinstance(side, SeriesSide) else None
-            trees.setdefault(tree, []).append((check, i, side))
+            trees.setdefault(_tree(side), []).append((check, i, side))
     leaves = {}  # (check, side index) -> {p: leaf}
-    for tree, sides in trees.items():
-        k = max(side.k for _, _, side in sides)
-        if tree is None:
+    for (kind, *shared), sides in trees.items():
+        if kind is GammaSide:
+            (x,) = shared
+            k_at = {}  # p -> the largest k read there
+            for c, _, side in sides:
+                for p in filter(side.at, admitted[c]):
+                    k_at[p] = max(k_at.get(p, 0), side.k)
+            values = {p: _gamma_leaf(x, p, k_at[p]) for p in sorted(k_at)}
+            for c, i, side in sides:
+                leaves[c, i] = {p: values[p] if side.at(p) else None for p in admitted[c]}
+        elif kind is RisingSide:
+            k = max(side.k for _, _, side in sides)
             at = sorted({(n, p) for c, _, side in sides
                          for p in admitted[c] for n in side.positions(p)})
             coefficients = dict(zip(at, rising_coefficients([(n, p**k) for n, p in at], k)))
@@ -330,7 +384,8 @@ def sweep_leaves(primes: list[int], checks: Collection[CheckId]) -> dict[CheckId
                 leaves[c, i] = {p: tuple(coefficients[n, p] for n in side.positions(p))
                                 for p in admitted[c]}
         else:
-            family, e = tree
+            family, e = shared
+            k = max(side.k for _, _, side in sides)
             read = sorted(set().union(*(admitted[c] for c, _, _ in sides)))
             residues = dict(zip(read, pfq_residues(family, read, k, e)))
             for c, i, _ in sides:
@@ -380,11 +435,11 @@ def check_a2(p: int, series: ResidueInt) -> CheckOutcome:
 
 
 @_declared(CheckId.A3)
-def check_a3(p: int, series: ResidueInt) -> CheckOutcome:
+def check_a3(p: int, series: ResidueInt, gamma: Optional[ResidueInt]) -> CheckOutcome:
     """Van Hamme (A.2): the truncated 6F5(-1) is -p Gamma_p(1/4)^4 mod p^3 for
     p = 1 (mod 4) and vanishes mod p^3 for p = 3 (mod 4)."""
     if p % 4 == 1:
-        rhs = reduce_mod(F(-p), p, series.k) * gamma_p(F(1, 4), p, series.k) ** 4
+        rhs = reduce_mod(F(-p), p, series.k) * gamma**4
         note = "branch p = 1 (mod 4)"
     else:
         rhs = ResidueInt(0, p, series.k)
@@ -393,16 +448,16 @@ def check_a3(p: int, series: ResidueInt) -> CheckOutcome:
 
 
 @_declared(CheckId.A4)
-def check_a4(p: int, series: ResidueInt) -> CheckOutcome:
+def check_a4(p: int, series: ResidueInt, gamma: ResidueInt) -> CheckOutcome:
     """The p = 3 (mod 4) strengthening: 6F5(-1) = -(p^3/16) Gamma_p(1/4)^4 mod p^4."""
-    rhs = reduce_mod(F(-(p**3), 16), p, series.k) * gamma_p(F(1, 4), p, series.k) ** 4
+    rhs = reduce_mod(F(-(p**3), 16), p, series.k) * gamma**4
     return _residue_outcome(CheckId.A4, p, series, rhs)
 
 
 @_declared(CheckId.A3_SWISHER)
-def check_swisher(p: int, series: ResidueInt) -> CheckOutcome:
+def check_swisher(p: int, series: ResidueInt, gamma: ResidueInt) -> CheckOutcome:
     """The p = 1 (mod 4) branch of Van Hamme (A.2) strengthened to mod p^5."""
-    rhs = reduce_mod(F(-p), p, series.k) * gamma_p(F(1, 4), p, series.k) ** 4
+    rhs = reduce_mod(F(-p), p, series.k) * gamma**4
     return _residue_outcome(CheckId.A3_SWISHER, p, series, rhs)
 
 
@@ -437,11 +492,11 @@ def check_b6(p: int, series: ResidueInt, symbols: tuple[ResidueInt, ...]) -> Che
 
 
 @_declared(CheckId.C5)
-def check_c5(p: int, symbols: tuple[ResidueInt, ResidueInt]) -> CheckOutcome:
+def check_c5(p: int, gamma: ResidueInt, symbols: tuple[ResidueInt, ResidueInt]) -> CheckOutcome:
     """The rational closed form of the quartic specialization equals
     -(p^3/16) Gamma_p(1/4)^4 mod p^4 for p = 3 (mod 4)."""
     lhs = c3_rhs_closed(p, symbols)
-    rhs = reduce_mod(F(-(p**3), 16), p, lhs.k) * gamma_p(F(1, 4), p, lhs.k) ** 4
+    rhs = reduce_mod(F(-(p**3), 16), p, lhs.k) * gamma**4
     return _residue_outcome(CheckId.C5, p, lhs, rhs)
 
 
@@ -504,7 +559,8 @@ def _run_task(task) -> CheckOutcome:
     """Run one (CheckId, args) task; an exception raised by the check becomes a fail outcome.
 
     The check is looked up by name when the task runs, so a rebound
-    module attribute check_<value> is the one called.
+    module attribute check_<value> is the one called.  Every check returns
+    an outcome of its own, so it is stamped with its elapsed_ms in place.
     """
     check, args = task
     start = time.perf_counter()
@@ -512,8 +568,8 @@ def _run_task(task) -> CheckOutcome:
         outcome = globals()[f"check_{check.value}"](*args)
     except Exception as exc:
         outcome = _failed(task, f"{type(exc).__name__}: {exc}")
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return replace(outcome, elapsed_ms=elapsed_ms)
+    object.__setattr__(outcome, "elapsed_ms", (time.perf_counter() - start) * 1000.0)
+    return outcome
 
 
 def _failed(task, note: str) -> CheckOutcome:
@@ -652,22 +708,34 @@ def _outcome_row(outcome: CheckOutcome, include_timing: bool) -> dict:
     return row
 
 
+# a flat row at the indent of an outcome in the report; json.dumps with indent runs the
+# encoder written in Python, this one runs the C encoder
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_document(report: Report, rows: list[dict]) -> str:
+    """The bytes of json.dumps(report as a dict, indent=2), each flat row encoded in C."""
+    outcomes = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }" for row in rows)
+    fields = [
+        f'"version": {json.dumps(report.version)}',
+        f'"pmin": {json.dumps(report.pmin)}',
+        f'"pmax": {json.dumps(report.pmax)}',
+        f'"outcomes": [\n    {outcomes}\n  ]' if rows else '"outcomes": []',
+        '"summary": ' + json.dumps(report.summary, indent=2).replace("\n", "\n  "),
+    ]
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+
+
 def emit_report(report: Report, fmt: str = "json", include_timing: bool = True) -> bytes:
     """Serialize a report; byte-stable for identical inputs.
 
     ``include_timing=False`` drops the volatile elapsed_ms column so that runs
-    with different worker counts serialize byte-identically.
+    with different worker counts serialize byte-identically.  JSON is
+    indented by 2, as ``json.dumps(..., indent=2)`` writes it.
     """
     rows = [_outcome_row(o, include_timing) for o in report.outcomes]
     if fmt == "json":
-        obj = {
-            "version": report.version,
-            "pmin": report.pmin,
-            "pmax": report.pmax,
-            "outcomes": rows,
-            "summary": report.summary,
-        }
-        return (json.dumps(obj, indent=2) + "\n").encode()
+        return _json_document(report, rows).encode()
     if fmt == "csv":
         columns = ["check", "p", "status", "lhs", "rhs", "modulus", "note"]
         if include_timing:

@@ -22,12 +22,16 @@ from supercong.exact import (
     reduce_mod,
     vp,
 )
+from supercong.padic_gamma import gamma_p
 from supercong.variety import CONV_MAX_P
 from supercong.verifier import (
     DECLARATIONS,
+    DEFAULT_CHECKS,
+    QUARTER,
     CheckId,
     CheckOutcome,
     ConfigError,
+    GammaSide,
     Report,
     check_a1,
     check_a2,
@@ -51,6 +55,9 @@ from supercong.verifier import (
 
 # the checks whose Pochhammer symbols a sweep reads off one tree for all primes at once
 PRODUCTS = {CheckId.B4, CheckId.B6, CheckId.C5}
+
+# the checks that read Gamma_p(1/4), computed once per prime for all of them
+GAMMA = {CheckId.A3, CheckId.A4, CheckId.A3_SWISHER, CheckId.C5}
 
 # the checks with a side that a sweep computes for all primes at once
 BATCHED = {CheckId.A1, CheckId.A2, CheckId.A3, CheckId.A4, CheckId.A3_SWISHER,
@@ -455,6 +462,63 @@ class TestRisingSymbols:
         assert sorted(together[CheckId.C5]) == [p for p in primes if p % 4 == 3 and p >= 7]
 
 
+class TestGammaSide:
+    @pytest.mark.parametrize("lo, hi", [(3, 3000), (10000, 10100)])
+    def test_every_leaf_matches_gamma_p(self, lo, hi):
+        leaves = sweep_leaves(primes_between(lo, hi), GAMMA)
+        oracle = functools.cache(lambda p, k: gamma_p(QUARTER, p, k))
+        read = 0
+        for check in GAMMA:
+            for p, leaves_at_p in leaves[check].items():
+                for side, leaf in zip(DECLARATIONS[check].sides, leaves_at_p):
+                    if not isinstance(side, GammaSide):
+                        continue
+                    if not side.at(p):
+                        assert leaf is None and side.read(p, leaf) is None, (check, p)
+                        continue
+                    assert side.read(p, leaf) == oracle(p, side.k), (check, p)
+                    read += 1
+        assert read == sum(1 for check in GAMMA for p in leaves[check]
+                           if check is not CheckId.A3 or p % 4 == 1)
+
+    def test_one_call_per_prime_at_the_largest_precision_read(self, monkeypatch):
+        calls = []
+
+        def counted(x, p, k):
+            calls.append((x, p, k))
+            return gamma_p(x, p, k)
+
+        monkeypatch.setattr(verifier, "gamma_p", counted)
+        report = run_suite(3, 1000, DEFAULT_CHECKS, workers=1)
+        assert report.summary["fail"] == 0
+        # a3 reads k = 3 at p = 1 (mod 4), swisher 5 there up to its cap, a4 and c5 4 at p = 3
+        assert len(calls) == 166
+        assert calls == [
+            (QUARTER, p, 4 if p % 4 == 3 else 5 if p <= verifier.SWISHER_MAX_P else 3)
+            for p in primes_between(5, 1000)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_gamma_p_fails_the_rows_that_read_it(self, monkeypatch, workers):
+        clean = run_suite(3, 100, DEFAULT_CHECKS, workers=1)
+
+        def broken_at_3_mod_4(x, p, k):
+            if p % 4 == 3:
+                raise ZeroDivisionError(f"at {p}")
+            return gamma_p(x, p, k)
+
+        monkeypatch.setattr(verifier, "gamma_p", broken_at_3_mod_4)
+        report = run_suite(3, 100, DEFAULT_CHECKS, workers=workers)
+        failed = {(o.check, o.p): o for o in report.outcomes if o.status == "fail"}
+        reads = [p for p in primes_between(7, 100) if p % 4 == 3]
+        assert failed.keys() == {(check, p) for check in (CheckId.A4, CheckId.C5) for p in reads}
+        for (_, p), outcome in failed.items():
+            assert outcome.note == f"ZeroDivisionError: at {p}"
+            assert outcome.lhs_residue is outcome.rhs_residue is outcome.modulus is None
+        assert [o for o in report.outcomes if o.status != "fail"] == [
+            o for o in clean.outcomes if (o.check, o.p) not in failed]
+
+
 class TestDispatch:
     def test_every_check_has_its_function(self):
         for check in CheckId:
@@ -468,6 +532,11 @@ class TestDispatch:
         monkeypatch.setattr(verifier, "check_a1", lambda p, *leaves: stub)
         report = run_suite(3, 3, {CheckId.A1}, workers=1)
         assert report.outcomes == (stub,)
+
+    def test_task_is_stamped_with_its_time(self):
+        outcome = verifier._run_task((CheckId.A1, (3,)))
+        assert outcome.status == "pass" and outcome.elapsed_ms > 0
+        object.__setattr__(outcome, "spans", [])  # as a tracer attaches its spans to each outcome
 
     def test_c1_failure_keeps_its_y(self, monkeypatch):
         def broken(n, y):
@@ -509,6 +578,31 @@ class TestReports:
     def test_timing_column_is_optional(self):
         data = emit_report(self.sample_report(), include_timing=False)
         assert b"elapsed_ms" not in data
+
+    @pytest.mark.parametrize("include_timing", [True, False])
+    def test_json_is_json_dumps_with_indent_2(self, include_timing):
+        sample = run_suite(3, 13, {CheckId.A1, CheckId.A4, CheckId.TRACE_RELATION,
+                                   CheckId.C1_IDENTITY}, workers=1, timestamp="t")
+        failed = CheckOutcome(CheckId.A3, 5, "fail", ResidueInt(1, 5, 3), ResidueInt(2, 5, 3),
+                              125, 'a "quoted" note: \u00e9\t\\', 0.25)
+        reports = [
+            sample,
+            Report(sample.version, "t", 3, 13, sample.outcomes + (failed,), {"pass": 1}),
+            Report("0", "t", 3, 3, (), {"pass": 0, "fail": 0, "skipped": 0}),
+            Report("0", "t", 4, 4, (), {}),
+        ]
+        assert {o.status for o in reports[1].outcomes} == {"pass", "fail", "skipped"}
+        assert any(o.lhs_residue is None for o in sample.outcomes)
+        for report in reports:
+            obj = {
+                "version": report.version,
+                "pmin": report.pmin,
+                "pmax": report.pmax,
+                "outcomes": [verifier._outcome_row(o, include_timing) for o in report.outcomes],
+                "summary": report.summary,
+            }
+            expected = (json.dumps(obj, indent=2) + "\n").encode()
+            assert emit_report(report, include_timing=include_timing) == expected
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
