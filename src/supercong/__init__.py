@@ -14,7 +14,6 @@ from .exact import (
     NegativeValuation,
     ResidueInt,
     TooLarge,
-    congruent,
     pochhammer,
     pochhammer_pair,
     reduce_mod,
@@ -22,7 +21,6 @@ from .exact import (
 )
 from .eta import TABLE_MAX_BOUND, a_p, f_coefficients
 from .hypergeom import (
-    GuardExceeded,
     IdentityOutcome,
     PoleParameter,
     SeriesFamily,
@@ -44,13 +42,8 @@ from .hypergeom import (
     vanhamme_spec,
     whipple_c1_check,
 )
-from .padic_gamma import gamma_p, gamma_p_int, sp
-from .variety import (
-    brute_force_N,
-    count_N,
-    fiber_counts,
-    legendre,
-)
+from .padic_gamma import gamma_p
+from .variety import brute_force_N, count_N
 from .verifier import (
     CheckId,
     CheckOutcome,

@@ -5,8 +5,7 @@ positive denominator) and residues live in Z/p^k.  The only non-rational
 parameters the checks use are Galois-conjugate pairs u + y*zeta, u + y*zeta'
 over Q(i) or Q(omega); the product of their two Pochhammer symbols is a
 product of rational quadratics, so a ``ConjugatePair`` stands for both and
-no cyclotomic arithmetic is needed.  Congruence between rationals is
-valuation-based: x = y (mod p^k) means vp(x - y) >= k.
+no cyclotomic arithmetic is needed.
 
 Every Pochhammer symbol is computed from its factors cleared of their
 denominator to integers (``cleared_factor``).  Over Q the n factors of
@@ -97,11 +96,6 @@ def reduce_mod(x: RationalLike, p: int, k: int) -> "ResidueInt":
     modulus = p**k
     value = x.numerator * pow(x.denominator, -1, modulus) % modulus
     return ResidueInt(value, p, k)
-
-
-def congruent(x: RationalLike, y: RationalLike, p: int, k: int) -> bool:
-    """Whether x = y (mod p^k) in the valuation sense: vp(x - y) >= k."""
-    return vp(Fraction(x) - Fraction(y), p) >= k
 
 
 @dataclass(frozen=True)

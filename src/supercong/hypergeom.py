@@ -69,10 +69,6 @@ class ZeroDenominatorPochhammer(ArithmeticError):
         )
 
 
-class GuardExceeded(NegativeValuation):
-    """A residue series needs more p-adic precision than its guard provides."""
-
-
 class PoleParameter(ValueError):
     """Identity-check inputs sit on a pole of one of the two sides."""
 
@@ -217,23 +213,21 @@ def _guard(bottom) -> int:
     return sum(2 if isinstance(b, ConjugatePair) else 1 for b in bottom)
 
 
-def _prefix_residue(node, p: int, k: int, e: int, guard: int, precision: int) -> ResidueInt:
+def _valuation(x: int, p: int, precision: int) -> int:
+    """vp(x) for x reduced mod p^precision, or precision when x is 0 there."""
+    return _p_split(x, p)[0] if x else precision
+
+
+def _prefix_residue(node, p: int, k: int, e: int, precision: int) -> ResidueInt:
     """p^e * (Q + T) / Q mod p^k from a prefix (P, Q, T) reduced mod p^precision.
 
-    The precision is k + guard + max(0, -e): enough to read Q's unit part
-    and (Q + T) / p^(vp(Q) - e) mod p^k once vp(Q) <= guard.
+    The precision must be at least k + vp(Q) + max(0, -e): enough to read Q's
+    unit part and (Q + T) / p^(vp(Q) - e) mod p^k.
 
-    Raises GuardExceeded when vp(Q) > guard, beyond the fixed precision, and
-    NegativeValuation when p^e times the sum is not p-integral.
+    Raises NegativeValuation when p^e times the sum is not p-integral.
     """
     _, Q, T = node
-    if Q == 0:
-        raise GuardExceeded(f"the denominator of the sum vanishes mod {p}^{precision}")
     v, unit = _p_split(Q, p)
-    if v > guard:
-        raise GuardExceeded(
-            f"the denominator of the sum has {p}-adic valuation {v}, above the guard {guard}"
-        )
     total = (Q + T) % p**precision
     shift = e - v
     if shift < 0:
@@ -275,12 +269,15 @@ def pfq_residues(
     ``remainder_tree`` reduces the prefix of each p mod p^(k+g) (for e >= 0),
     with the guard g the number of bottom parameters, a pair counting as two.
     Nothing is divided before that, so a bottom factor divisible by p needs
-    no valuation bookkeeping in the tree.
+    no valuation bookkeeping in the tree.  A prefix whose denominator Q has
+    vp(Q) > g (p-factors of the step numerators and denominators can cancel
+    in the terms) is summed again at that prime with g = vp(Q), which the
+    declared families never need.
 
-    Entry i is the residue at primes[i], or the GuardExceeded or
-    NegativeValuation its prefix raised (see ``_prefix_residue``).
-    ZeroDenominatorPochhammer is raised for the whole family when a bottom
-    factor vanishes before the largest truncation.
+    Entry i is the residue at primes[i], or the NegativeValuation its prefix
+    raised (see ``_prefix_residue``).  ZeroDenominatorPochhammer is raised
+    for the whole family when a bottom factor vanishes before the largest
+    truncation.
     """
     if not primes:
         return []
@@ -290,7 +287,8 @@ def pfq_residues(
     if any(b < a for a, b in zip(terms, terms[1:])):
         raise ValueError("the truncation index decreases along the primes")
     guard = _guard(family.bottom)
-    precision = k + guard + max(0, -e)
+    extra = max(0, -e)
+    precision = k + guard + extra
     moduli = [p**precision for p in primes]
     ps, qs = _step_factors(family.at(primes[-1]))
     ends = [min(n, len(ps)) for n in terms]
@@ -299,10 +297,15 @@ def pfq_residues(
     segments += [_split(ps, qs, a, b) for a, b in zip(ends, ends[1:])]
     out: list[ResidueInt | NegativeValuation] = []
     prefixes = remainder_tree(segments, moduli, _compose, _reduce, (1, 1, 0))
-    for node, p in zip(prefixes, primes):
+    for node, p, end in zip(prefixes, primes, ends):
+        g = guard
+        while (v := _valuation(node[1], p, k + g + extra)) > g:
+            g = v
+            modulus = p ** (k + g + extra)
+            node = _reduce(_split(ps, qs, 0, end, modulus), modulus)
         try:
-            out.append(_prefix_residue(node, p, k, e, guard, precision))
-        except NegativeValuation as exc:  # GuardExceeded is one too
+            out.append(_prefix_residue(node, p, k, e, k + g + extra))
+        except NegativeValuation as exc:
             out.append(exc)
     return out
 

@@ -13,30 +13,38 @@ the factors prime to p fall into Q full blocks and a tail:
     prod_{0<j<m, p not | j} j = prod_{i<Q} H(i) * prod_{0<s<r} (Q*p + s),
     H(y) = prod_{s=1}^{p-1} (p*y + s).
 
-Why cutting is exact: the y^d coefficient of H is divisible by p^d.  That
-property survives products and integer Taylor shifts f(y) -> f(y + a), whose
-y^d coefficient gathers f_e * C(e, d) * a^(e-d) over e >= d.  Among such
-polynomials every term of degree >= k has a coefficient divisible by p^k, so
-it vanishes at any integer y mod p^k, and it stays a multiple of p^k through
-later products and shifts.  Every polynomial can therefore be cut to degree
-< k and reduced mod p^k.  With G_n(y) = prod_{i<n} H(y + i), the rule
-G_{a+b}(y) = G_a(y) * G_b(y + a) doubles n, or adds one block, in one shift
-and one cut product; walking the bits of Q yields G_Q(0) = prod_{i<Q} H(i).
+The y^d coefficient of H is divisible by p^d, so every term of degree >= k
+vanishes at an integer y mod p^k: H is cut to degree < k and reduced mod p^k.
 
-Cost: O(p*k) to build H, O(k^2) per bit of Q < p^(k-1), so O(k^3 log p) for
-the blocks, and O(p) for the tail -- all exact integer arithmetic mod p^k.
-The definitional product survives only as the test oracle.
+The blocks come from Newton interpolation (Mahler).  H(0) = (p-1)! is a
+unit, and g(n) = prod_{i<n} H(i) / H(0)^n satisfies
+
+    prod_{i<Q} H(i) = H(0)^Q * sum_{c=0}^{2k-2} D^c g(0) * C(Q, c)  (mod p^k),
+
+with D the forward difference, so only H(0), ..., H(2k-3) are needed.  Why
+the sum may stop at 2k-2: writing y^d in the binomial basis turns
+H(i)/H(0) into 1 + sum_{e>=1} b_e * C(i, e) with vp(b_e) >= e.  Expanding
+g(n) = prod_{i<n} (1 + u(i)) over the sets i_1 < ... < i_j < n of indices
+gives terms b_{e_1}...b_{e_j} times nested sums of C(i_t, e_t); since
+sum_{i<n} C(i, c) = C(n, c+1), by induction each nested sum is an
+integer-valued polynomial in n of degree at most E + j, E = e_1 + ... + e_j,
+so its Newton coefficients are integers and vanish beyond E + j <= 2E.  The
+coefficient of C(n, c) thus gathers terms of valuation >= E >= c/2:
+vp(D^c g(0)) >= ceil(c/2) >= k once c >= 2k-1.  Newton's series of g at an
+integer Q is the exact finite sum over c <= Q, and for Q <= 2k-2 the formula
+is exact.
+
+Cost: O(p*k) to build H, O(k^2) for its 2k-2 values and their differences,
+and O(p) for the tail -- all exact integer arithmetic mod p^k.  The
+definitional product and the Taylor-shift doubling this replaced survive
+only as test oracles.
 """
 
 from __future__ import annotations
 
-from .exact import RationalLike, ResidueInt, cut_product, is_prime, reduce_mod
+import math
 
-
-def sp(x: RationalLike, p: int) -> int:
-    """The representative of x mod p lying in {1, ..., p}."""
-    r = reduce_mod(x, p, 1).value
-    return r if r != 0 else p
+from .exact import RationalLike, ResidueInt, is_prime, reduce_mod
 
 
 def _check_modulus(p: int, k: int) -> None:
@@ -44,15 +52,6 @@ def _check_modulus(p: int, k: int) -> None:
         raise ValueError(f"Gamma_p needs a precision exponent k >= 1, got {k!r}")
     if not is_prime(p):
         raise ValueError(f"Gamma_p needs a prime p, got {p!r}")
-
-
-def _shift(f: list[int], a: int, modulus: int) -> list[int]:
-    """Coefficients of f(y + a), by repeated synthetic division."""
-    c = list(f)
-    for i in range(len(c) - 1):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] += a * c[j + 1]
-    return [x % modulus for x in c]
 
 
 def _block_polynomial(p: int, k: int, modulus: int) -> list[int]:
@@ -66,49 +65,36 @@ def _block_polynomial(p: int, k: int, modulus: int) -> list[int]:
 
 
 def _blocks_product(q: int, p: int, k: int, modulus: int) -> int:
-    """prod_{i<q} H(i) mod p^k, by binary splitting over the bits of q."""
-    if q == 0:
-        return 1
+    """prod_{i<q} H(i) mod p^k, by Newton interpolation from H(0), ..., H(2k-3)."""
     h = _block_polynomial(p, k, modulus)
-    g, n = h, 1  # g = G_n
-    for bit in bin(q)[3:]:
-        g = cut_product(g, _shift(g, n, modulus), modulus)
-        n *= 2
-        if bit == "1":
-            g = cut_product(g, _shift(h, n, modulus), modulus)
-            n += 1
-    return g[0]
-
-
-def _gamma_int_value(m: int, p: int, k: int) -> int:
-    modulus = p**k
-    q, r = divmod(m, p)
-    acc = _blocks_product(q, p, k, modulus)
-    base = q * p
-    for s in range(1, r):
-        acc = acc * (base + s) % modulus
-    return -acc % modulus if m % 2 else acc
-
-
-def gamma_p_int(m: int, p: int, k: int) -> ResidueInt:
-    """The definitional product (-1)^m prod_{0<j<m, (j,p)=1} j reduced mod p^k.
-
-    gamma_p_int(0, ...) is 1 (empty product, positive sign) and
-    gamma_p_int(1, ...) is -1.  Raises ValueError unless p is prime and k is
-    an int >= 1.
-    """
-    _check_modulus(p, k)
-    if m < 0:
-        raise ValueError("argument must be a nonnegative integer")
-    return ResidueInt(_gamma_int_value(m, p, k), p, k)
+    scale = pow(h[0], -1, modulus)
+    g = [1]  # g(n) = prod_{i<n} H(i) / H(0)^n for n = 0..min(q, 2k-2)
+    for i in range(min(q, 2 * k - 2)):
+        value = 0
+        for coefficient in reversed(h):
+            value = value * i + coefficient
+        g.append(g[-1] * value * scale % modulus)
+    total = 0
+    for c in range(len(g)):  # g[0] is now D^c g(0)
+        total += g[0] * math.comb(q, c)
+        g = [b - a for a, b in zip(g, g[1:])]
+    return pow(h[0], q, modulus) * total % modulus
 
 
 def gamma_p(x: RationalLike, p: int, k: int) -> ResidueInt:
     """Gamma_p(x) mod p^k for p-integral rational x, via the integer lift of x mod p^k.
 
+    For an integer 0 <= m < p^k, gamma_p(m, ...) is the definitional product
+    (-1)^m prod_{0<j<m, (j,p)=1} j reduced mod p^k: 1 at m = 0, -1 at m = 1.
     Raises ValueError unless p is prime and k is an int >= 1, and
     NegativeValuation when x is not p-integral.
     """
     _check_modulus(p, k)
+    modulus = p**k
     m = reduce_mod(x, p, k).value
-    return ResidueInt(_gamma_int_value(m, p, k), p, k)
+    q, r = divmod(m, p)
+    acc = _blocks_product(q, p, k, modulus)
+    base = q * p
+    for s in range(1, r):
+        acc = acc * (base + s) % modulus
+    return ResidueInt(-acc % modulus if m % 2 else acc, p, k)

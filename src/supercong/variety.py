@@ -27,14 +27,6 @@ CONV_MAX_P = 1 << 19
 NARROW_SLOT_MAX_P = (1 << 16) // 4 - 1
 
 
-def legendre(a: int, p: int) -> int:
-    """Quadratic-residue character of a mod p (odd prime p): -1, 0 or 1."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def _fibers(p: int) -> np.ndarray:
     """c(t) for t = 0..p-1 as int64: 1 + legendre(t^2 - 4), from a table of the squares mod p."""
     t_squared = np.arange(p, dtype=np.int64) ** 2
@@ -42,14 +34,6 @@ def _fibers(p: int) -> np.ndarray:
     is_square[t_squared[1:] % p] = True
     a = (t_squared - 4) % p
     return np.where(a == 0, 1, np.where(is_square[a], 2, 0))
-
-
-def fiber_counts(p: int) -> tuple[int, ...]:
-    """c(t) = #{x in F_p^*: x + 1/x = t} for t = 0..p-1.
-
-    Each is 1 + legendre(t^2 - 4), which is 1 at t = +-2.
-    """
-    return tuple(_fibers(p).tolist())
 
 
 def count_N(p: int) -> int:

@@ -9,6 +9,11 @@
   oracle of the symbols the checks read off ``exact.rising_coefficients``.
 - ``ramanujan_float_check``: the full Van Hamme 6F5(-1) in double precision
   against its Gamma closed form, the only float computation of the project.
+- ``gamma_p_doubling``: Gamma_p(x) mod p^k with the block product by Taylor-shift
+  doubling; the oracle of ``padic_gamma.gamma_p`` where the definitional
+  product is out of reach.
+- ``sp``, ``legendre``: the representative of x mod p in {1..p}, and Euler's
+  criterion.
 """
 
 from __future__ import annotations
@@ -20,17 +25,24 @@ from fractions import Fraction
 from supercong.exact import (
     ConjugatePair,
     NegativeValuation,
+    RationalLike,
     ResidueInt,
     cleared_factor,
+    cut_product,
     pochhammer,
+    reduce_mod,
 )
 from supercong.hypergeom import (
-    GuardExceeded,
     SeriesSpec,
     ZeroDenominatorPochhammer,
     _guard,
     _p_split,
 )
+from supercong.padic_gamma import _block_polynomial, _check_modulus
+
+
+class GuardExceeded(NegativeValuation):
+    """A term of ``pfq_residue`` has valuation below the guard its fixed precision allows."""
 
 
 def _rising(param: Fraction | ConjugatePair, n: int) -> Fraction:
@@ -180,3 +192,53 @@ def ramanujan_float_check(terms: int) -> FloatOutcome:
         c *= ((k + 0.5) / (k + 1)) ** 5
     target = 2 / math.gamma(0.75) ** 4
     return FloatOutcome(partial, target, abs(partial - target))
+
+
+def _shift(f: list[int], a: int, modulus: int) -> list[int]:
+    """Coefficients of f(y + a), by repeated synthetic division."""
+    c = list(f)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return [x % modulus for x in c]
+
+
+def gamma_p_doubling(x: RationalLike, p: int, k: int) -> ResidueInt:
+    """Gamma_p(x) mod p^k, with prod_{i<Q} H(i) by doubling G_n(y) = prod_{i<n} H(y + i).
+
+    G_{a+b}(y) = G_a(y) * G_b(y + a): one Taylor shift and one cut product
+    per doubling, or per added block, over the bits of Q; the shifts keep
+    the y^d coefficients divisible by p^d, so the cut to degree < k is exact.
+    """
+    _check_modulus(p, k)
+    modulus = p**k
+    m = reduce_mod(x, p, k).value
+    q, r = divmod(m, p)
+    acc = 1
+    if q:
+        h = _block_polynomial(p, k, modulus)
+        g, n = h, 1  # g = G_n
+        for bit in bin(q)[3:]:
+            g = cut_product(g, _shift(g, n, modulus), modulus)
+            n *= 2
+            if bit == "1":
+                g = cut_product(g, _shift(h, n, modulus), modulus)
+                n += 1
+        acc = g[0]
+    for s in range(1, r):
+        acc = acc * (q * p + s) % modulus
+    return ResidueInt(-acc % modulus if m % 2 else acc, p, k)
+
+
+def sp(x: RationalLike, p: int) -> int:
+    """The representative of x mod p lying in {1, ..., p}."""
+    r = reduce_mod(x, p, 1).value
+    return r if r != 0 else p
+
+
+def legendre(a: int, p: int) -> int:
+    """Quadratic-residue character of a mod p (odd prime p): -1, 0 or 1, by Euler's criterion."""
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from oracles import ramanujan_float_check
+from oracles import ramanujan_float_check, sp
 from supercong.eta import f_coefficients
 from supercong.exact import pochhammer, reduce_mod, vp
 from supercong.hypergeom import (
@@ -16,7 +16,7 @@ from supercong.hypergeom import (
     c3_check,
     whipple_c1_check,
 )
-from supercong.padic_gamma import gamma_p, gamma_p_int, sp
+from supercong.padic_gamma import gamma_p
 from supercong.variety import brute_force_N, count_N
 from supercong.verifier import (
     C1_MAX_N,
@@ -124,7 +124,7 @@ def test_criterion_08_identity_suite():
 def test_criterion_09_gamma_property_suite():
     for p in (3, 5, 7, 11, 13):
         for k in (1, 2, 3):
-            assert gamma_p_int(1, p, k).value == p**k - 1  # Gamma_p(1) = -1
+            assert gamma_p(1, p, k).value == p**k - 1  # Gamma_p(1) = -1
     rng = random.Random(2024)
     reflection = continuity = bridge = 0
     while bridge < 200:

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qzeta
-from oracles import pfq_residue, pfq_truncated_reference, pochhammer_mod, ramanujan_float_check
+from oracles import (
+    GuardExceeded,
+    pfq_residue,
+    pfq_truncated_reference,
+    pochhammer_mod,
+    ramanujan_float_check,
+)
 from supercong import hypergeom
 from supercong.eta import a_p
 from supercong.exact import (
@@ -27,7 +33,6 @@ from supercong.hypergeom import (
     KILBOURN,
     THM1,
     VANHAMME,
-    GuardExceeded,
     IdentityOutcome,
     PoleParameter,
     SeriesFamily,
@@ -387,6 +392,14 @@ def single_prime(family, p, k, e):
         return exc
 
 
+def exact_residue(spec, p, k, e):
+    """p^e * pfq_truncated(spec) reduced mod p^k, or the NegativeValuation that raised."""
+    try:
+        return reduce_mod(F(p) ** e * pfq_truncated(spec), p, k)
+    except NegativeValuation as exc:
+        return exc
+
+
 @st.composite
 def residue_families(draw):
     """A family with fixed parameters and argument and a truncation growing with p, some
@@ -457,8 +470,9 @@ class TestPfqResidues:
         assert len(got) == len(primes)
         for p, batched in zip(primes, got):
             alone = single_prime(family, p, k, e)
-            if isinstance(batched, GuardExceeded):
-                continue  # the tree's guard is on the whole denominator: it may trip first
+            if isinstance(alone, GuardExceeded):
+                # the oracle's guard is on each term, the tree reads the whole sum exactly
+                alone = exact_residue(family.at(p), p, k, e)
             if isinstance(batched, NegativeValuation):
                 assert type(alone) is NegativeValuation
             else:
@@ -466,16 +480,20 @@ class TestPfqResidues:
 
     def test_guard_on_the_denominator(self):
         # term j is 1 / (1/2)_j, of valuation -1 from j = 3 at p = 5, but the step
-        # denominators 2j+1 and j+1 hold 5 at j = 2 and j = 4: vp(Q) = 2 > guard 1
+        # denominators 2j+1 and j+1 hold 5 at j = 2 and j = 4: vp(Q) = 2 > guard 1,
+        # so the tree sums this prefix again with the guard raised to 2
         spec = SeriesSpec((F(1),), (F(1, 2),), F(1), 5)
-        (got,) = pfq_residues(SeriesFamily(spec.top, spec.bottom, spec.argument, lambda p: 5), [5], 2)
-        assert isinstance(got, GuardExceeded)
-        assert "valuation 2, above the guard 1" in str(got)
-        # the single-prime path tracks the terms themselves and needs e = 1
-        assert pfq_residue(spec, 5, 2, e=1) == reduce_mod(5 * pfq_truncated(spec), 5, 2)
-        # with 2p steps the denominator vanishes mod p^(k+guard)
-        (got,) = pfq_residues(SeriesFamily(spec.top, spec.bottom, spec.argument, lambda p: 10), [5], 2)
-        assert "vanishes mod 5^3" in str(got)
+        family = SeriesFamily(spec.top, spec.bottom, spec.argument, lambda p: 5)
+        for e in (0, 1):
+            expected = pfq_residue(spec, 5, 2, e)
+            assert expected == reduce_mod(5**e * pfq_truncated(spec), 5, 2)
+            assert pfq_residues(family, [5], 2, e) == [expected]
+        # with 2p steps the denominator vanishes mod p^(k+guard) and a term reaches
+        # valuation -2, below the oracle's guard: the tree still gives the exact residue
+        spec = SeriesSpec(spec.top, spec.bottom, spec.argument, 10)
+        family = SeriesFamily(spec.top, spec.bottom, spec.argument, lambda p: 10)
+        assert isinstance(single_prime(family, 5, 2, 2), GuardExceeded)
+        assert pfq_residues(family, [5], 2, 2) == [reduce_mod(25 * pfq_truncated(spec), 5, 2)]
 
     def test_truncation_must_not_decrease(self):
         with pytest.raises(ValueError, match="decreases"):
