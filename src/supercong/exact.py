@@ -17,19 +17,26 @@ checks use the pair, and ``pochhammer`` reduces it to a ``Fraction``.  The
 series of ``hypergeom`` build their step factors from the same
 progressions.
 
-A sweep needs the same kind of product at many primes.
+A product over steps of any other node type, the (P, Q, T) of a series or
+a polynomial cut to K coefficients, is one binary-splitting walk
+(Haible-Papanikolaou), ``split_product``: a run of steps a..c-1 is halved
+at its midpoint down to runs of at most ``LEAF_STEPS`` steps, whose nodes a
+caller's ``run`` gives, and the halves are composed by the caller's
+``compose``.  A sweep needs the same kind of product at many primes.
 ``remainder_tree`` is the accumulating remainder tree (Costa-Gerbicz-Harvey)
-that gives every prefix of a list of segments, each reduced mod its own
-modulus, over any node type; ``hypergeom.pfq_residues`` walks it with the
-(P, Q, T) triples of a series.  ``rising_coefficients`` walks it with
-polynomials: the K lowest coefficients of (1+y)_n at many (n, modulus)
-leaves.  A Pochhammer symbol whose parameters depend on p only through
-y = p*t, t p-integral, is a value of (1+y)_n, and mod p^K only those K
-coefficients matter, so one tree gives such a symbol at every prime of a
-sweep, and a tree of one prime's leaves gives it at that prime.  The
-congruence checks read every Pochhammer symbol this way and multiply only
-residues; the exact symbol, and a product of residues one factor at a time,
-are test oracles.
+that gives every prefix of the steps, each reduced mod its own modulus, over
+any node type.  It cuts the steps into segments at the given ends and splits
+each one; the first segment, which every prefix reads, is reduced mod the
+product of all moduli.  Both functions reduce a node only through the node
+type's ``reduce``.  ``hypergeom.pfq_residues`` walks it with the (P, Q, T)
+triples of a series.  ``rising_coefficients`` walks it with polynomials: the
+K lowest coefficients of (1+y)_n at many (n, modulus) leaves.  A Pochhammer
+symbol whose parameters depend on p only through y = p*t, t p-integral, is
+a value of (1+y)_n (``poly_value``), and mod p^K only those K coefficients
+matter, so one tree gives such a symbol at every prime of a sweep, and a
+tree of one prime's leaves gives it at that prime.  The congruence checks
+read every Pochhammer symbol this way and multiply only residues; the exact
+symbol, and a product of residues one factor at a time, are test oracles.
 """
 
 from __future__ import annotations
@@ -61,16 +68,16 @@ def vp(x: RationalLike, p: int) -> Union[int, float]:
     x = Fraction(x)
     if x == 0:
         return math.inf
+    return p_split(x.numerator, p)[0] - p_split(x.denominator, p)[0]
+
+
+def p_split(x: int, p: int) -> tuple[int, int]:
+    """(v, u) with x = p^v * u and p not dividing u, for a nonzero int x."""
     v = 0
-    num = x.numerator
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return v, x
 
 
 def is_prime(n: int) -> bool:
@@ -198,7 +205,7 @@ class ConjugatePair:
     u: Fraction
     y: Fraction
     trace: int
-    # factor(k) = (k + linear) * k + constant, expanded once
+    # the joint factor at offset k is (k + linear) * k + constant, expanded once
     linear: Fraction = field(init=False, repr=False, compare=False)
     constant: Fraction = field(init=False, repr=False, compare=False)
 
@@ -212,14 +219,6 @@ class ConjugatePair:
         shifted = a * d + self.trace * c * b  # (u + trace*y) * b*d
         object.__setattr__(self, "linear", Fraction(a * d + shifted, b * d))
         object.__setattr__(self, "constant", Fraction(a * d * shifted + (c * b) ** 2, (b * d) ** 2))
-
-    def factor(self, k: int) -> Fraction:
-        """(u + k + y*zeta)(u + k + y*zeta')."""
-        return (k + self.linear) * k + self.constant
-
-    def pochhammer(self, n: int) -> Fraction:
-        """(u + y*zeta)_n (u + y*zeta')_n."""
-        return Fraction(*pochhammer_pair(self, n))
 
 
 def cleared_factor(param: Union[RationalLike, ConjugatePair]) -> tuple[tuple[int, int, int], int]:
@@ -257,6 +256,12 @@ def cleared_progression(param: Union[RationalLike, ConjugatePair], n: int) -> Pr
     return Progression(list(map(c0.__add__, map(mul, range(n), range(c1, c1 + n * c2, c2)))), den)
 
 
+def _pairwise(nodes: list, compose) -> list:
+    """One level up a product tree: each pair of nodes composed, an odd last node carried up."""
+    odd = nodes[-1:] if len(nodes) % 2 else []
+    return [*map(compose, nodes[::2], nodes[1::2]), *odd]
+
+
 def product_tree(factors: Sequence[int]) -> int:
     """The product of the ints, multiplied pairwise level by level.
 
@@ -267,27 +272,55 @@ def product_tree(factors: Sequence[int]) -> int:
     if not factors:
         return 1
     while len(factors) > 1:
-        odd = factors[-1:] if len(factors) % 2 else []
-        factors = [*map(mul, factors[::2], factors[1::2]), *odd]
+        factors = _pairwise(factors, mul)
     return factors[0]
 
 
-def remainder_tree(segments: list, moduli: list[int], compose, reduce, one) -> list:
-    """For each i, the composition of segments[0..i] reduced mod moduli[i].
+# a run of at most this many steps is the node of one call of run
+LEAF_STEPS = 16
+
+
+def split_product(run, compose, reduce, a: int, c: int, modulus: int = 0):
+    """The node of the steps a..c-1, by binary splitting (Haible-Papanikolaou).
+
+    The steps are halved at their midpoint down to runs of at most
+    ``LEAF_STEPS`` steps; run(j, l) gives the node of the steps j..l-1, and
+    compose(left, right) the node of left followed by right.  With a
+    modulus, every node above the runs is reduced by it, as
+    reduce(node, modulus).
+    """
+    if c - a <= LEAF_STEPS:
+        return run(a, c)
+    b = (a + c) // 2
+    node = compose(split_product(run, compose, reduce, a, b, modulus),
+                   split_product(run, compose, reduce, b, c, modulus))
+    return reduce(node, modulus) if modulus else node
+
+
+def remainder_tree(run, ends: list[int], moduli: list[int], compose, reduce, one) -> list:
+    """For each i, the node of the steps 0..ends[i]-1 reduced mod moduli[i].
 
     An accumulating remainder tree (Costa-Gerbicz-Harvey) over any node type:
-    compose(a, b) is the node of a followed by b, reduce(a, m) reduces a
-    mod m, and one is the empty node.  Product trees of the segments and of
-    the moduli are built bottom-up, then each node receives the composition
-    of every segment to its left, reduced mod the product of its own moduli.
-    The root's product is never formed.
+    run, compose and reduce are those of ``split_product``, and one is the
+    empty node.  The ends must never decrease; equal ends give empty
+    segments.  The steps between consecutive ends are the segments, each
+    summed by ``split_product``; every prefix reads the first, so it is
+    reduced mod the product of all moduli, and the rest are left unreduced.
+    Product trees of the segments and of the moduli are built bottom-up,
+    then each node receives the composition of every segment to its left,
+    reduced mod the product of its own moduli.  The root's product is never
+    formed.
     """
+    if not ends:
+        return []
+    if ends[0] < 0 or any(b < a for a, b in zip(ends, ends[1:])):
+        raise ValueError("the sequence of ends starts below 0 or decreases")
+    segments = [split_product(run, compose, reduce, 0, ends[0], math.prod(moduli))]
+    segments += [split_product(run, compose, reduce, a, b) for a, b in zip(ends, ends[1:])]
     seg_levels, mod_levels = [segments], [moduli]
     while len(seg_levels[-1]) > 2:
-        segs, mods = seg_levels[-1], mod_levels[-1]
-        seg_levels.append([compose(*segs[i : i + 2]) if i + 1 < len(segs) else segs[i]
-                           for i in range(0, len(segs), 2)])
-        mod_levels.append([math.prod(mods[i : i + 2]) for i in range(0, len(mods), 2)])
+        seg_levels.append(_pairwise(seg_levels[-1], compose))
+        mod_levels.append(_pairwise(mod_levels[-1], mul))
     before = [one]
     for segs, mods in zip(reversed(seg_levels), reversed(mod_levels)):
         before = [
@@ -297,61 +330,52 @@ def remainder_tree(segments: list, moduli: list[int], compose, reduce, one) -> l
     return [reduce(compose(b, s), m) for b, s, m in zip(before, segments, moduli)]
 
 
-def cut_product(f: list[int], g: list[int], modulus: int = 0) -> list[int]:
-    """f * g cut to the length of f, coefficients reduced mod modulus when one is given."""
+def cut_product(f: list[int], g: list[int]) -> list[int]:
+    """f * g cut to the length of f."""
     k = len(f)
     out = [0] * k
     for a, fa in enumerate(f):
         if fa:
             for b in range(k - a):
                 out[a + b] += fa * g[b]
-    return [c % modulus for c in out] if modulus else out
+    return out
+
+
+def poly_value(f: list[int], y: int, modulus: int) -> int:
+    """sum_d f_d y^d mod modulus, by Horner's rule."""
+    value = 0
+    for c in reversed(f):
+        value = (value * y + c) % modulus
+    return value
 
 
 def _reduce_coefficients(f: list[int], modulus: int) -> list[int]:
     return [c % modulus for c in f]
 
 
-# a run of at most this many factors (y + s) is multiplied in by one loop
-_LEAF_FACTORS = 16
+def rising_coefficients(leaves: list[tuple[int, int]], k: int) -> list[list[int]]:
+    """For each (n, modulus) of leaves, sorted by n, the k coefficients of
+    (1+y)_n = prod_{s=1}^{n} (y + s) mod y^k, reduced mod that modulus.
 
-
-def _rising_segment(a: int, c: int, k: int, modulus: int = 0) -> list[int]:
-    """prod_{s=a+1}^{c} (y + s) cut to degree < k, by binary splitting.
-
-    With a modulus, every node above the leaves is reduced by it.
+    Step s - 1 is the factor y + s, and the positions n are the ends of one
+    ``remainder_tree``.  A congruence reads (1+y)_n at y = p*t with t
+    p-integral, and there y^d = 0 mod p^k for d >= k, so the k coefficients
+    mod p^k give every such value mod p^k (``poly_value``).
     """
-    if c - a <= _LEAF_FACTORS:
-        f = [1] + [0] * (k - 1)
+
+    one = [1] + [0] * (k - 1)
+
+    def run(a: int, c: int) -> list[int]:
+        f = list(one)
         for s in range(a + 1, c + 1):
             for d in range(k - 1, 0, -1):
                 f[d] = f[d] * s + f[d - 1]
             f[0] *= s
         return f
-    b = (a + c) // 2
-    return cut_product(_rising_segment(a, b, k, modulus), _rising_segment(b, c, k, modulus), modulus)
 
-
-def rising_coefficients(leaves: list[tuple[int, int]], k: int) -> list[list[int]]:
-    """For each (n, modulus) of leaves, sorted by n, the k coefficients of
-    (1+y)_n = prod_{s=1}^{n} (y + s) mod y^k, reduced mod that modulus.
-
-    The products between consecutive positions are the segments of one
-    ``remainder_tree``; equal positions give empty segments.  Every leaf
-    reads the first segment, so it is reduced mod the product of all moduli
-    while it is built.  A congruence reads (1+y)_n at y = p*t with t
-    p-integral, and there y^d = 0 mod p^k for d >= k, so the k coefficients
-    mod p^k give every such value mod p^k.
-    """
-    if not leaves:
-        return []
-    ns = [n for n, _ in leaves]
+    ends = [n for n, _ in leaves]
     moduli = [modulus for _, modulus in leaves]
-    if ns[0] < 0 or any(b < a for a, b in zip(ns, ns[1:])):
-        raise ValueError("the positions must be nonnegative and sorted")
-    segments = [_rising_segment(0, ns[0], k, math.prod(moduli))]
-    segments += [_rising_segment(a, b, k) for a, b in zip(ns, ns[1:])]
-    return remainder_tree(segments, moduli, cut_product, _reduce_coefficients, [1] + [0] * (k - 1))
+    return remainder_tree(run, ends, moduli, cut_product, _reduce_coefficients, one)
 
 
 def pochhammer_pair(param: Union[RationalLike, ConjugatePair], n: int) -> tuple[int, int]:

@@ -6,21 +6,23 @@ a rational or a ``ConjugatePair``, which stands for two Galois-conjugate
 parameters in Q(i) or Q(omega) and contributes their joint rational
 quadratic factor, so every sum stays in Q.
 
-There are two evaluators, one exact and one in Z/p^k.  ``pfq_pair`` sums a
-series exactly by binary splitting: the step ratio is cleared to integers
-P(j) / Q(j), and a product tree over the steps gives the sum as one
-unreduced integer pair, with no gcd per term.  P and Q are built whole, not
-step by step: each parameter's cleared factors over j < n are one integer
-progression (``exact.cleared_progression``, iterated in C), and the step
-factors are the progressions multiplied pointwise with ``map(mul, ...)``;
-b1 shares its top progressions between its two series and its prefactor.
-``pfq_pair`` serves the exact identities (b1, c1, c3), which compare their
-two sides by cross-multiplication, and ``pfq_truncated``, the reduced
-``Fraction`` for ``supercong hyper`` and the tests.  ``pfq_residues`` gives
-the residues of the congruence checks: a ``SeriesFamily`` declares
-parameters that do not depend on p and a truncation index that does, and one
-accumulating remainder tree (``exact.remainder_tree``) over its step
-factors gives the residue mod p^k at every prime of a sweep, with no
+There are two evaluators, one exact and one in Z/p^k, and both walk the
+steps of a series by the one binary-splitting walk of ``exact``.
+``pfq_pair`` sums a series exactly: the step ratio is cleared to integers
+P(j) / Q(j), and ``exact.split_product`` over the (P, Q, T) nodes of the
+steps gives the sum as one unreduced integer pair, with no gcd per term.
+P and Q are built whole, not step by step: each parameter's cleared factors
+over j < n are one integer progression (``exact.cleared_progression``,
+iterated in C), and the step factors are the progressions multiplied
+pointwise with ``map(mul, ...)``; b1 shares its top progressions between
+its two series and its prefactor.  ``pfq_pair`` serves the exact identities
+(b1, c1, c3), which compare their two sides by cross-multiplication, and
+``pfq_truncated``, the reduced ``Fraction`` for ``supercong hyper`` and the
+tests.  ``pfq_residues`` gives the residues of the congruence checks: a
+``SeriesFamily`` declares parameters that do not depend on p and a
+truncation index that does, and one accumulating remainder tree
+(``exact.remainder_tree``) over its step factors, with the truncations as
+its ends, gives the residue mod p^k at every prime of a sweep, with no
 O(p^2)-bit denominator ever formed.  At a single prime it is the same tree
 with one leaf (``kilbourn_lhs``, ``thm1_rhs``, ``vanhamme_lhs``,
 ``half_harmonic2``).  The slow references, the term-by-term sum from
@@ -50,10 +52,13 @@ from .exact import (
     ResidueInt,
     Progression,
     cleared_progression,
+    is_prime,
+    p_split,
     pochhammer_pair,
     product_tree,
     reduce_mod,
     remainder_tree,
+    split_product,
 )
 
 
@@ -96,10 +101,6 @@ class SeriesSpec:
 
 def _as_param(x) -> Fraction | ConjugatePair:
     return x if isinstance(x, ConjugatePair) else Fraction(x)
-
-
-# a range of at most this many steps is summed by the recurrence itself
-_LEAF_STEPS = 16
 
 
 def _progressions(params, n: int) -> list[Progression]:
@@ -155,39 +156,42 @@ def _compose(left: tuple[int, int, int], right: tuple[int, int, int]) -> tuple[i
     return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
 
 
+_ONE = (1, 1, 0)  # the (P, Q, T) of no step
+
+
 def _reduce(node: tuple[int, int, int], modulus: int) -> tuple[int, int, int]:
     P, Q, T = node
     return P % modulus, Q % modulus, T % modulus
 
 
-def _split(ps: list[int], qs: list[int], a: int, c: int, modulus: int = 0) -> tuple[int, int, int]:
-    """(P, Q, T) of the steps a..c-1: P and Q are the products of ps and qs, and
-    T / Q = sum over j in a..c-1 of prod_{i=a}^{j} ps[i] / qs[i].
-
-    With a modulus, every node above the leaves is reduced by it.
+def _run(ps: list[int], qs: list[int]):
+    """The run of ``exact.split_product`` over the steps ps, qs: (P, Q, T) of the steps a..c-1,
+    with P and Q the products of ps and qs and T / Q = sum over j in a..c-1 of
+    prod_{i=a}^{j} ps[i] / qs[i].  Steps past the end of ps, which ``_steps`` cuts at a
+    vanishing top factor, are empty.
     """
-    if c - a <= _LEAF_STEPS:
-        P, Q, T = 1, 1, 0
-        for j in range(a, c):
+
+    def run(a: int, c: int) -> tuple[int, int, int]:
+        P, Q, T = _ONE
+        for j in range(a, min(c, len(ps))):
             P *= ps[j]
             T = T * qs[j] + P
             Q *= qs[j]
         return P, Q, T
-    b = (a + c) // 2
-    node = _compose(_split(ps, qs, a, b, modulus), _split(ps, qs, b, c, modulus))
-    return _reduce(node, modulus) if modulus else node
+
+    return run
 
 
 def _sum_pair(ps: list[int], qs: list[int]) -> tuple[int, int]:
-    _, Q, T = _split(ps, qs, 0, len(ps))
+    _, Q, T = split_product(_run(ps, qs), _compose, _reduce, 0, len(ps))
     return Q + T, Q
 
 
 def pfq_pair(spec: SeriesSpec) -> tuple[int, int]:
     """Integers (num, den), not reduced, with num / den = pfq_truncated(spec).
 
-    Binary splitting (Haible-Papanikolaou): a product tree over the integer
-    step factors P(j), Q(j) of ``_step_factors`` gives the whole sum as
+    Binary splitting (Haible-Papanikolaou): ``exact.split_product`` over the
+    integer step factors P(j), Q(j) of ``_step_factors`` gives the whole sum as
     1 + T / Q with no gcd, so its cost is a few multiplications of the
     final size instead of one reduced ``Fraction`` per term.
     """
@@ -199,15 +203,6 @@ def pfq_truncated(spec: SeriesSpec) -> Fraction:
     return Fraction(*pfq_pair(spec))
 
 
-def _p_split(x: int, p: int) -> tuple[int, int]:
-    """(v, u) with x = p^v * u and p not dividing u, for a nonzero int x."""
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v, x
-
-
 def _guard(bottom) -> int:
     """The number of bottom parameters, a pair counting as two."""
     return sum(2 if isinstance(b, ConjugatePair) else 1 for b in bottom)
@@ -215,7 +210,7 @@ def _guard(bottom) -> int:
 
 def _valuation(x: int, p: int, precision: int) -> int:
     """vp(x) for x reduced mod p^precision, or precision when x is 0 there."""
-    return _p_split(x, p)[0] if x else precision
+    return p_split(x, p)[0] if x else precision
 
 
 def _prefix_residue(node, p: int, k: int, e: int, precision: int) -> ResidueInt:
@@ -227,7 +222,7 @@ def _prefix_residue(node, p: int, k: int, e: int, precision: int) -> ResidueInt:
     Raises NegativeValuation when p^e times the sum is not p-integral.
     """
     _, Q, T = node
-    v, unit = _p_split(Q, p)
+    v, unit = p_split(Q, p)
     total = (Q + T) % p**precision
     shift = e - v
     if shift < 0:
@@ -264,15 +259,15 @@ def pfq_residues(
     """p^e * pfq_truncated(family.at(p)) mod p^k for every p of primes, from one remainder tree.
 
     The family's truncation index must never decrease along primes.  The
-    step factors are built once, for the largest truncation; the steps
-    between consecutive truncations form segments, summed by ``_split``, and
-    ``remainder_tree`` reduces the prefix of each p mod p^(k+g) (for e >= 0),
-    with the guard g the number of bottom parameters, a pair counting as two.
-    Nothing is divided before that, so a bottom factor divisible by p needs
-    no valuation bookkeeping in the tree.  A prefix whose denominator Q has
+    step factors are built once, for the largest truncation, and the
+    truncations are the ends of one ``exact.remainder_tree`` over them, which
+    reduces the prefix of each p mod p^(k+g) (for e >= 0), with the guard g
+    the number of bottom parameters, a pair counting as two.  Nothing is
+    divided before that, so a bottom factor divisible by p needs no
+    valuation bookkeeping in the tree.  A prefix whose denominator Q has
     vp(Q) > g (p-factors of the step numerators and denominators can cancel
-    in the terms) is summed again at that prime with g = vp(Q), which the
-    declared families never need.
+    in the terms) is summed again at that prime with g = vp(Q), by a tree of
+    one leaf, which the declared families never need.
 
     Entry i is the residue at primes[i], or the NegativeValuation its prefix
     raised (see ``_prefix_residue``).  ZeroDenominatorPochhammer is raised
@@ -281,28 +276,19 @@ def pfq_residues(
     """
     if not primes:
         return []
-    terms = [family.truncation(p) for p in primes]
-    if terms[0] < 0:
-        raise ValueError("truncation index must be >= 0")
-    if any(b < a for a, b in zip(terms, terms[1:])):
-        raise ValueError("the truncation index decreases along the primes")
+    ends = [family.truncation(p) for p in primes]
     guard = _guard(family.bottom)
     extra = max(0, -e)
     precision = k + guard + extra
+    run = _run(*_step_factors(family.at(primes[-1])))
     moduli = [p**precision for p in primes]
-    ps, qs = _step_factors(family.at(primes[-1]))
-    ends = [min(n, len(ps)) for n in terms]
-    # every prime reads the first segment, so it is needed only mod the product of all moduli
-    segments = [_split(ps, qs, 0, ends[0], math.prod(moduli))]
-    segments += [_split(ps, qs, a, b) for a, b in zip(ends, ends[1:])]
     out: list[ResidueInt | NegativeValuation] = []
-    prefixes = remainder_tree(segments, moduli, _compose, _reduce, (1, 1, 0))
+    prefixes = remainder_tree(run, ends, moduli, _compose, _reduce, _ONE)
     for node, p, end in zip(prefixes, primes, ends):
         g = guard
         while (v := _valuation(node[1], p, k + g + extra)) > g:
             g = v
-            modulus = p ** (k + g + extra)
-            node = _reduce(_split(ps, qs, 0, end, modulus), modulus)
+            (node,) = remainder_tree(run, [end], [p ** (k + g + extra)], _compose, _reduce, _ONE)
         try:
             out.append(_prefix_residue(node, p, k, e, k + g + extra))
         except NegativeValuation as exc:
@@ -390,7 +376,7 @@ HALF_HARMONIC2 = SeriesFamily((F(1),) * 3, (F(2),) * 2, F(1), _half_p_minus_3)
 def half_harmonic2_spec(p: int) -> SeriesSpec:
     """3F2[1,1,1; 2,2; 1] truncated at (p-3)/2: term j is 1/(j+1)^2, so the sum is
     sum_{j=1}^{(p-1)/2} 1/j^2 (``half_harmonic2``)."""
-    if p % 2 == 0 or p < 3:
+    if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     return HALF_HARMONIC2.at(p)
 
@@ -479,7 +465,7 @@ def bailey_b1_check(p: int) -> IdentityOutcome:
     The omega parameters come in the conjugate pairs (1-wp)/2, (1-w^2 p)/2
     and 1+wp/2, 1+w^2 p/2, so both sides are rational.
     """
-    if p % 2 == 0 or p < 3:
+    if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     m = (p - 1) // 2
     b_pair = ConjugatePair(F(1, 2), F(-p, 2), TRACE_OMEGA)
@@ -506,7 +492,7 @@ def _c3_closed_form(p: int) -> tuple[int, ConjugatePair, ConjugatePair]:
     +-(j - 1/2), so pairing x - ip/4 with -x - ip/4 leaves
     -(p^3/16) prod_{j<q} (j^2 + p^2/16) / prod_{j<=q} ((j - 1/2)^2 + p^2/16).
     """
-    if p % 4 != 3 or p < 7:
+    if p % 4 != 3 or p < 7 or not is_prime(p):
         raise ValueError("requires a prime p = 3 (mod 4), p >= 7")
     return (p + 1) // 4, ConjugatePair(F(1), F(p, 4), TRACE_I), ConjugatePair(F(1, 2), F(p, 4), TRACE_I)
 
@@ -528,7 +514,7 @@ def c3_check(p: int) -> IdentityOutcome:
     Its i parameters come in conjugate pairs, so lhs is rational; rhs is the
     closed form of ``c3_rhs_closed``, evaluated exactly.
     """
-    if p % 4 != 3 or p < 7:
+    if p % 4 != 3 or p < 7 or not is_prime(p):
         raise ValueError("requires a prime p = 3 (mod 4), p >= 7")
     top = (F(5, 4), F(1, 2), F(1 - p, 2), F(1 + p, 2), ConjugatePair(F(1, 2), F(p, 2), TRACE_I))
     bottom = (F(1, 4), 1 - F(p, 2), 1 + F(p, 2), ConjugatePair(F(1), F(p, 2), TRACE_I))

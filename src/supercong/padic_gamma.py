@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import RationalLike, ResidueInt, is_prime, reduce_mod
+from .exact import RationalLike, ResidueInt, is_prime, poly_value, reduce_mod
 
 
 def _check_modulus(p: int, k: int) -> None:
@@ -70,10 +70,7 @@ def _blocks_product(q: int, p: int, k: int, modulus: int) -> int:
     scale = pow(h[0], -1, modulus)
     g = [1]  # g(n) = prod_{i<n} H(i) / H(0)^n for n = 0..min(q, 2k-2)
     for i in range(min(q, 2 * k - 2)):
-        value = 0
-        for coefficient in reversed(h):
-            value = value * i + coefficient
-        g.append(g[-1] * value * scale % modulus)
+        g.append(g[-1] * poly_value(h, i, modulus) * scale % modulus)
     total = 0
     for c in range(len(g)):  # g[0] is now D^c g(0)
         total += g[0] * math.comb(q, c)

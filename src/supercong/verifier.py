@@ -45,6 +45,7 @@ from .exact import (
     TRACE_OMEGA,
     ResidueInt,
     fraction_str,
+    poly_value,
     reduce_mod,
     rising_coefficients,
 )
@@ -149,14 +150,6 @@ def _identity_outcome(check: CheckId, p: int, outcome, note: str = "") -> CheckO
 # --- reading Pochhammer symbols off (1+y)_n -----------------------------------
 
 
-def _rising_value(f: list[int], y: int, modulus: int) -> int:
-    """sum_d f_d y^d mod modulus: (1+y)_n from its coefficients f (``rising_coefficients``)."""
-    value = 0
-    for c in reversed(f):
-        value = (value * y + c) % modulus
-    return value
-
-
 def _pair_value(f: list[int], y: int, trace: int, modulus: int) -> int:
     """(1+zeta*y)_n (1+zeta'*y)_n mod p^k, for y = 0 mod p, zeta + zeta' = trace, zeta*zeta' = 1.
 
@@ -183,8 +176,8 @@ def _b4_symbols(p: int, k: int, f_m: list[int], f_2m: list[int]) -> tuple[Residu
     half_p = p * pow(2, -1, modulus) % modulus
     four_m = pow(4, (p - 1) // 2, modulus)
     half = f_2m[0] * pow(four_m * f_m[0], -1, modulus)
-    shifted = _rising_value(f_2m, -p, modulus) * pow(
-        four_m * _rising_value(f_m, -half_p, modulus), -1, modulus
+    shifted = poly_value(f_2m, -p, modulus) * pow(
+        four_m * poly_value(f_m, -half_p, modulus), -1, modulus
     )
     pair = _pair_value(f_m, half_p, TRACE_OMEGA, modulus)
     return tuple(ResidueInt(x, p, k) for x in (half, shifted, pair))
@@ -194,7 +187,7 @@ def _b6_symbols(p: int, k: int, f_m: list[int]) -> tuple[ResidueInt, ...]:
     """check_b6's symbols (1+p/2)_m, (1-p/2)_m and m!: F_m = (1+y)_m at y = p/2, -p/2 and 0."""
     modulus = p**k
     half_p = p * pow(2, -1, modulus) % modulus
-    return tuple(ResidueInt(_rising_value(f_m, y, modulus), p, k) for y in (half_p, -half_p, 0))
+    return tuple(ResidueInt(poly_value(f_m, y, modulus), p, k) for y in (half_p, -half_p, 0))
 
 
 def _c5_symbols(

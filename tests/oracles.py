@@ -7,6 +7,8 @@
   ``hypergeom.pfq_residues``.
 - ``pochhammer_mod``: (param)_n mod p^k multiplied one factor at a time; the
   oracle of the symbols the checks read off ``exact.rising_coefficients``.
+- ``pair_factor``, ``pair_pochhammer``: a ``ConjugatePair``'s joint factor at
+  one offset, and its joint Pochhammer symbol over Q.
 - ``ramanujan_float_check``: the full Van Hamme 6F5(-1) in double precision
   against its Gamma closed form, the only float computation of the project.
 - ``gamma_p_doubling``: Gamma_p(x) mod p^k with the block product by Taylor-shift
@@ -29,14 +31,15 @@ from supercong.exact import (
     ResidueInt,
     cleared_factor,
     cut_product,
+    p_split,
     pochhammer,
+    pochhammer_pair,
     reduce_mod,
 )
 from supercong.hypergeom import (
     SeriesSpec,
     ZeroDenominatorPochhammer,
     _guard,
-    _p_split,
 )
 from supercong.padic_gamma import _block_polynomial, _check_modulus
 
@@ -45,9 +48,19 @@ class GuardExceeded(NegativeValuation):
     """A term of ``pfq_residue`` has valuation below the guard its fixed precision allows."""
 
 
+def pair_factor(pair: ConjugatePair, k: int) -> Fraction:
+    """(u + k + y*zeta)(u + k + y*zeta') of the pair."""
+    return (k + pair.linear) * k + pair.constant
+
+
+def pair_pochhammer(pair: ConjugatePair, n: int) -> Fraction:
+    """(u + y*zeta)_n (u + y*zeta')_n of the pair."""
+    return Fraction(*pochhammer_pair(pair, n))
+
+
 def _rising(param: Fraction | ConjugatePair, n: int) -> Fraction:
     if isinstance(param, ConjugatePair):
-        return param.pochhammer(n)
+        return pair_pochhammer(param, n)
     return pochhammer(param, n)
 
 
@@ -116,8 +129,8 @@ def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
     scale = spec.argument * bottom_den / top_den
     vanished = not scale
     if not vanished:
-        v_num, scale_num = _p_split(scale.numerator, p)
-        v_den, scale_den = _p_split(scale.denominator, p)
+        v_num, scale_num = p_split(scale.numerator, p)
+        v_den, scale_den = p_split(scale.denominator, p)
         scale_v = v_num - v_den
     # term j = p^v * num / den; total / den = p^guard * (sum of the terms so far)
     v, num, den = 0, 1, 1
@@ -132,7 +145,7 @@ def pfq_residue(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
         if index is not None:
             vanished = True
             continue
-        step_v, step_u = _p_split(j + 1, p)
+        step_v, step_u = p_split(j + 1, p)
         v += top_v - bottom_v - step_v + scale_v
         if v < -guard:
             raise GuardExceeded(
@@ -219,10 +232,10 @@ def gamma_p_doubling(x: RationalLike, p: int, k: int) -> ResidueInt:
         h = _block_polynomial(p, k, modulus)
         g, n = h, 1  # g = G_n
         for bit in bin(q)[3:]:
-            g = cut_product(g, _shift(g, n, modulus), modulus)
+            g = [c % modulus for c in cut_product(g, _shift(g, n, modulus))]
             n *= 2
             if bit == "1":
-                g = cut_product(g, _shift(h, n, modulus), modulus)
+                g = [c % modulus for c in cut_product(g, _shift(h, n, modulus))]
                 n += 1
         acc = g[0]
     for s in range(1, r):

@@ -208,6 +208,13 @@ class TestOtherCommands:
             "lhs   = 6249392/8873007", "rhs   = 6249392/8873007", "equal = True"
         ]
 
+    @pytest.mark.parametrize("which, p", [("b1", "9"), ("b1", "2"), ("c3", "15"), ("c3", "3")])
+    def test_identity_rejects_non_prime(self, capsys, which, p):
+        # 9 is odd and 15 = 3 (mod 4), but neither is prime
+        code, out, err = run_cli(capsys, "identity", "--which", which, "--p", p)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_identity_sides_of_any_size(self, capsys):
         # at p = 2003 each side has more digits than str(int) converts by default (4300)
         code, out, _ = run_cli(capsys, "identity", "--which", "b1", "--p", "2003")

@@ -3,12 +3,13 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import pochhammer_mod
+from oracles import pair_factor, pair_pochhammer, pochhammer_mod
 from qzeta import QZeta, rising, zeta
 from supercong.exact import (
     TRACE_I,
@@ -19,12 +20,17 @@ from supercong.exact import (
     cleared_factor,
     cleared_progression,
     fraction_str,
+    LEAF_STEPS,
     is_prime,
+    p_split,
     pochhammer,
     pochhammer_pair,
+    poly_value,
     product_tree,
     reduce_mod,
+    remainder_tree,
     rising_coefficients,
+    split_product,
     vp,
 )
 from supercong.hypergeom import half_harmonic2
@@ -150,12 +156,12 @@ class TestPochhammer:
 
     def test_cyclo_examples(self):
         # (1 + (5/2)w)(1 + (5/2)w^2) = 1 + (5/2)(w + w^2) + (25/4) w^3 = 19/4
-        assert ConjugatePair(1, F(5, 2), TRACE_OMEGA).pochhammer(1) == F(19, 4)
-        assert ConjugatePair(F(7, 3), F(5, 2), TRACE_I).pochhammer(0) == 1
+        assert pair_pochhammer(ConjugatePair(1, F(5, 2), TRACE_OMEGA), 1) == F(19, 4)
+        assert pair_pochhammer(ConjugatePair(F(7, 3), F(5, 2), TRACE_I), 0) == 1
         # (1 + 2i)(1 - 2i) (2 + 2i)(2 - 2i) = 5 * 8
-        assert ConjugatePair(1, 2, TRACE_I).pochhammer(2) == 40
+        assert pair_pochhammer(ConjugatePair(1, 2, TRACE_I), 2) == 40
         with pytest.raises(ValueError):
-            ConjugatePair(1, 2, TRACE_I).pochhammer(-1)
+            pair_pochhammer(ConjugatePair(1, 2, TRACE_I), -1)
 
     @given(small_fractions, small_fractions, st.sampled_from([TRACE_I, TRACE_OMEGA]),
            st.integers(0, 8))
@@ -163,7 +169,7 @@ class TestPochhammer:
     def test_pair_matches_qzeta_oracle(self, u, y, trace, k):
         z = zeta(trace)
         oracle = rising(u + y * z, k) * rising(u + y * z.conj(), k)
-        assert oracle.as_rational() == ConjugatePair(u, y, trace).pochhammer(k)
+        assert oracle.as_rational() == pair_pochhammer(ConjugatePair(u, y, trace), k)
 
     @given(small_fractions, st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=60)
@@ -198,7 +204,7 @@ class TestPochhammer:
 
 def cubic_collapse(u, v, p, k):
     """(u+vp)_k (u+vp*w)_k (u+vp*w^2)_k over the cube roots of unity."""
-    return pochhammer(u + v * p, k) * ConjugatePair(u, v * p, TRACE_OMEGA).pochhammer(k)
+    return pochhammer(u + v * p, k) * pair_pochhammer(ConjugatePair(u, v * p, TRACE_OMEGA), k)
 
 
 def quartic_collapse(u, v, p, k):
@@ -206,7 +212,7 @@ def quartic_collapse(u, v, p, k):
     return (
         pochhammer(u + v * p, k)
         * pochhammer(u - v * p, k)
-        * ConjugatePair(u, v * p, TRACE_I).pochhammer(k)
+        * pair_pochhammer(ConjugatePair(u, v * p, TRACE_I), k)
     )
 
 
@@ -288,7 +294,7 @@ class TestPochhammerMod:
     @settings(max_examples=100)
     def test_cleared_factor(self, param, j):
         (c0, c1, c2), den = cleared_factor(param)
-        factor = param.factor(j) if isinstance(param, ConjugatePair) else param + j
+        factor = pair_factor(param, j) if isinstance(param, ConjugatePair) else param + j
         assert F(c0 + c1 * j + c2 * j * j, den) == factor
 
     @given(pochhammer_params, st.integers(0, 12), small_primes, st.integers(1, 4))
@@ -296,7 +302,7 @@ class TestPochhammerMod:
     def test_matches_exact_symbol(self, param, n, p, k):
         _, den = cleared_factor(param)
         assume(den % p != 0)
-        exact = param.pochhammer(n) if isinstance(param, ConjugatePair) else pochhammer(param, n)
+        exact = pair_pochhammer(param, n) if isinstance(param, ConjugatePair) else pochhammer(param, n)
         assert pochhammer_mod(param, n, p, k) == reduce_mod(exact, p, k)
 
     def test_denominator_divisible_by_p_is_rejected(self):
@@ -352,3 +358,108 @@ class TestRisingCoefficients:
             rising_coefficients([(5, 7), (4, 7)], 3)
         with pytest.raises(ValueError):
             rising_coefficients([(-1, 7)], 3)
+
+
+def int_steps(n, seed, positive=False):
+    """n nonzero int steps, and the run of ``split_product`` over them: their product."""
+    rng = random.Random(seed)
+    xs = [rng.randrange(1, 10**9) * (1 if positive else rng.choice((-1, 1))) for _ in range(n)]
+    return xs, lambda a, c: math.prod(xs[a:c])
+
+
+def int_reduce(a, modulus):
+    return a % modulus
+
+
+WALK_LENGTHS = (0, 1, 15, 16, 17, 33, 100)
+
+
+class TestSplitProduct:
+    """``split_product`` with int nodes: compose is mul, and a run is the product of its steps."""
+
+    @pytest.mark.parametrize("n", WALK_LENGTHS)
+    def test_is_the_product(self, n):
+        xs, run = int_steps(n, n)
+        assert split_product(run, mul, int_reduce, 0, n) == math.prod(xs)
+        for modulus in (7**4, 2**61 - 1, 10**30 + 1):
+            assert split_product(run, mul, int_reduce, 0, n, modulus) % modulus == math.prod(xs) % modulus
+        for a in range(0, n + 1, 5):
+            for c in range(a, n + 1, 3):
+                assert split_product(run, mul, int_reduce, a, c) == math.prod(xs[a:c]), (a, c)
+
+    @pytest.mark.parametrize("n", WALK_LENGTHS)
+    def test_runs_tile_the_steps_in_order(self, n):
+        runs = []
+        split_product(lambda a, c: runs.append((a, c)) or 1, mul, int_reduce, 0, n)
+        assert [a for a, _ in runs] == [0] + [c for _, c in runs[:-1]] and runs[-1][1] == n
+        assert all(0 <= c - a <= LEAF_STEPS for a, c in runs)
+        assert len(runs) == 1 if n <= LEAF_STEPS else all(c - a >= LEAF_STEPS // 2 for a, c in runs)
+
+    def test_nodes_above_the_runs_are_reduced(self):
+        xs, run = int_steps(100, 7, positive=True)
+        node = split_product(run, mul, int_reduce, 0, 100, 10**9 + 7)
+        assert node == math.prod(xs) % (10**9 + 7)
+
+
+class TestRemainderTree:
+    """``remainder_tree`` with int nodes against ``math.prod`` of each prefix mod its modulus."""
+
+    @pytest.mark.parametrize("n", WALK_LENGTHS)
+    def test_every_prefix_mod_its_modulus(self, n):
+        xs, run = int_steps(n, 100 + n)
+        rng = random.Random(200 + n)
+        for count in (1, 2, 3, 4, 5, 8, 9, 16, 17):  # one leaf, odd and even leaf counts
+            ends = sorted(rng.choices(range(n + 1), k=count))
+            moduli = [rng.randrange(2, 10**15) for _ in ends]
+            out = remainder_tree(run, ends, moduli, mul, int_reduce, 1)
+            assert out == [math.prod(xs[:e]) % m for e, m in zip(ends, moduli)], (count, ends)
+
+    @pytest.mark.parametrize("n", WALK_LENGTHS)
+    def test_moduli_above_every_prefix_give_the_exact_prefixes(self, n):
+        xs, run = int_steps(n, 300 + n, positive=True)
+        ends = sorted({0, n // 3, n // 2, n})
+        moduli = [10 ** (9 * n + 1) + i for i in range(len(ends))]
+        out = remainder_tree(run, ends, moduli, mul, int_reduce, 1)
+        assert out == [math.prod(xs[:e]) for e in ends]
+
+    @pytest.mark.parametrize("ends", [
+        [0], [0, 0], [0, 0, 0, 17], [5, 5, 5], [0, 16, 16, 33, 33, 100], [17, 17, 100, 100, 100],
+        [0, 1, 2, 3, 4, 5, 6], [100] * 8,
+    ])
+    def test_repeated_ends_are_empty_segments(self, ends):
+        xs, run = int_steps(100, 17)
+        moduli = [7**4, 11**4, 13**4, 7**4, 2**61 - 1, 10**20 + 39, 17**4, 19**4][: len(ends)]
+        out = remainder_tree(run, ends, moduli, mul, int_reduce, 1)
+        assert out == [math.prod(xs[:e]) % m for e, m in zip(ends, moduli)]
+
+    def test_first_segment_is_reduced_mod_every_modulus(self):
+        # the root's product (here of all three moduli) reduces only the first segment
+        xs, run = int_steps(100, 3, positive=True)
+        ends, moduli = [40, 60, 100], [101**3, 103**3, 107**3]
+        seen = []
+        out = remainder_tree(run, ends, moduli, mul, lambda a, m: seen.append(m) or a % m, 1)
+        assert math.prod(moduli) in seen
+        assert out == [math.prod(xs[:e]) % m for e, m in zip(ends, moduli)]
+
+    def test_no_ends(self):
+        assert remainder_tree(lambda a, c: 1 / 0, [], [], mul, int_reduce, 1) == []
+
+    @pytest.mark.parametrize("ends", [[5, 4], [0, 3, 2, 9], [-1], [-1, 4]])
+    def test_decreasing_or_negative_ends_are_rejected(self, ends):
+        _, run = int_steps(10, 0)
+        with pytest.raises(ValueError, match="decreases"):
+            remainder_tree(run, ends, [7] * len(ends), mul, int_reduce, 1)
+
+
+class TestPolynomialHelpers:
+    def test_poly_value_is_the_sum(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            f = [rng.randrange(-10**9, 10**9) for _ in range(rng.randrange(0, 7))]
+            y, modulus = rng.randrange(-10**6, 10**6), rng.randrange(2, 10**20)
+            assert poly_value(f, y, modulus) == sum(c * y**d for d, c in enumerate(f)) % modulus
+
+    @pytest.mark.parametrize("x, p", [(1, 3), (-45, 3), (7**5 * 12, 7), (2**70, 2), (10**9 + 7, 5)])
+    def test_p_split(self, x, p):
+        v, u = p_split(x, p)
+        assert p**v * u == x and u % p != 0 and v == vp(x, p)

@@ -553,6 +553,13 @@ class TestBaileyB1:
         outcome = bailey_b1_check(p)
         assert (outcome.lhs, outcome.rhs) == (lhs.as_rational(), rhs.as_rational())
 
+    @pytest.mark.parametrize("p", [1, 2, 9, 15, 21, 25])
+    def test_rejects_non_odd_prime(self, p):
+        with pytest.raises(ValueError, match="odd prime"):
+            bailey_b1_check(p)
+        with pytest.raises(ValueError, match="odd prime"):
+            half_harmonic2_spec(p)
+
 
 class TestC3:
     @pytest.mark.parametrize("p", [7, 11, 19, 23])
@@ -591,6 +598,13 @@ class TestC3:
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):
             c3_check(13)
+
+    @pytest.mark.parametrize("p", [15, 27, 35, 39])
+    def test_rejects_composite_p_3_mod_4(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            c3_check(p)
+        with pytest.raises(ValueError, match="prime"):
+            hypergeom._c3_closed_form(p)
 
 
 class TestIdentityOutcome:

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import pfq_residue, pochhammer_mod
+from oracles import pair_pochhammer, pfq_residue, pochhammer_mod
 from supercong import hypergeom, verifier
 from supercong.eta import TABLE_MAX_BOUND
 from supercong.exact import (
@@ -626,7 +626,7 @@ class TestOutcomeInvariants:
 def b4_exact(p):
     m = (p - 1) // 2
     num = pochhammer(F(1, 2), m) * pochhammer(F(1 - p, 2), m)
-    return num / ConjugatePair(F(1), F(p, 2), TRACE_OMEGA).pochhammer(m)
+    return num / pair_pochhammer(ConjugatePair(F(1), F(p, 2), TRACE_OMEGA), m)
 
 
 def b6_exact(p):
@@ -640,8 +640,8 @@ def b6_exact(p):
 def c5_exact(p):
     """-(p^3/16) prod_{j<q} (j^2 + p^2/16) / prod_{j<=q} ((j - 1/2)^2 + p^2/16), q = (p+1)/4."""
     q = (p + 1) // 4
-    num = ConjugatePair(F(1), F(p, 4), TRACE_I).pochhammer(q - 1)
-    return -F(p**3, 16) * num / ConjugatePair(F(1, 2), F(p, 4), TRACE_I).pochhammer(q)
+    num = pair_pochhammer(ConjugatePair(F(1), F(p, 4), TRACE_I), q - 1)
+    return -F(p**3, 16) * num / pair_pochhammer(ConjugatePair(F(1, 2), F(p, 4), TRACE_I), q)
 
 
 PRIMES_5_TO_400 = primes_between(5, 400)
