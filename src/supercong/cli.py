@@ -12,6 +12,7 @@ import gc
 import json
 # argparse's gettext imports locale on first use; import it here, with the rest of set-up
 import locale  # noqa: F401
+import os
 import sys
 from fractions import Fraction
 
@@ -72,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--checks", type=_check_set, default=DEFAULT_CHECKS)
     verify.add_argument("--pmin", type=int, default=3)
     verify.add_argument("--pmax", type=int, default=100)
-    verify.add_argument("--workers", type=int, default=None,
-                        help="default: $SUPERCONG_WORKERS or 1")
+    verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.add_argument("--out", default=None, help="write the report here instead of stdout")
     verify.add_argument("--no-timing", action="store_true",
@@ -108,13 +108,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.pmin, args.pmax, args.checks, workers=args.workers)
-    data = emit_report(report, fmt=args.format, include_timing=not args.no_timing)
+    out = None
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
+        # opened before the sweep, so a path that cannot be written is a usage error up
+        # front; in append mode an existing file keeps its bytes until the report is written
+        created = not os.path.lexists(args.out)
+        try:
+            out = open(args.out, "ab")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
+    try:
+        report = run_suite(args.pmin, args.pmax, args.checks, workers=args.workers)
+        data = emit_report(report, fmt=args.format, include_timing=not args.no_timing)
+    except BaseException:
+        if out is not None:
+            out.close()
+            if created:
+                os.remove(args.out)
+        raise
+    if out is None:
         sys.stdout.write(data.decode())
+    else:
+        with out:
+            if out.seekable():  # a pipe or a terminal has nothing to truncate
+                out.truncate(0)
+            out.write(data)
     return 0 if report.summary["fail"] == 0 else 1
 
 

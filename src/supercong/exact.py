@@ -72,7 +72,9 @@ def vp(x: RationalLike, p: int) -> Union[int, float]:
 
 
 def p_split(x: int, p: int) -> tuple[int, int]:
-    """(v, u) with x = p^v * u and p not dividing u, for a nonzero int x."""
+    """(v, u) with x = p^v * u and p not dividing u; ValueError for x = 0 or p < 2 (no such v)."""
+    if x == 0 or p < 2:
+        raise ValueError(f"{x} has no {p}-adic valuation")
     v = 0
     while x % p == 0:
         x //= p
@@ -262,20 +264,6 @@ def _pairwise(nodes: list, compose) -> list:
     return [*map(compose, nodes[::2], nodes[1::2]), *odd]
 
 
-def product_tree(factors: Sequence[int]) -> int:
-    """The product of the ints, multiplied pairwise level by level.
-
-    Operands of each product have about the same size, so the cost is
-    quasi-linear in the size of the result, where a left-to-right
-    ``math.prod`` is quadratic.
-    """
-    if not factors:
-        return 1
-    while len(factors) > 1:
-        factors = _pairwise(factors, mul)
-    return factors[0]
-
-
 # a run of at most this many steps is the node of one call of run
 LEAF_STEPS = 16
 
@@ -297,6 +285,16 @@ def split_product(run, compose, reduce, a: int, c: int, modulus: int = 0):
     return reduce(node, modulus) if modulus else node
 
 
+def product_tree(factors: Sequence[int]) -> int:
+    """The product of the ints, by ``split_product`` over runs of ``math.prod``.
+
+    Operands of each product above the runs have about the same size, so
+    the cost is quasi-linear in the size of the result, where a
+    left-to-right ``math.prod`` of them all is quadratic.
+    """
+    return split_product(lambda a, c: math.prod(factors[a:c]), mul, None, 0, len(factors))
+
+
 def remainder_tree(run, ends: list[int], moduli: list[int], compose, reduce, one) -> list:
     """For each i, the node of the steps 0..ends[i]-1 reduced mod moduli[i].
 
@@ -315,7 +313,7 @@ def remainder_tree(run, ends: list[int], moduli: list[int], compose, reduce, one
         return []
     if ends[0] < 0 or any(b < a for a, b in zip(ends, ends[1:])):
         raise ValueError("the sequence of ends starts below 0 or decreases")
-    segments = [split_product(run, compose, reduce, 0, ends[0], math.prod(moduli))]
+    segments = [split_product(run, compose, reduce, 0, ends[0], product_tree(moduli))]
     segments += [split_product(run, compose, reduce, a, b) for a, b in zip(ends, ends[1:])]
     seg_levels, mod_levels = [segments], [moduli]
     while len(seg_levels[-1]) > 2:

@@ -34,7 +34,6 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
@@ -45,6 +44,7 @@ from .exact import (
     TRACE_OMEGA,
     ResidueInt,
     fraction_str,
+    p_split,
     poly_value,
     reduce_mod,
     rising_coefficients,
@@ -118,26 +118,36 @@ class CheckOutcome:
     status: str  # "pass" | "fail" | "skipped"
     lhs_residue: Optional[ResidueInt] = None
     rhs_residue: Optional[ResidueInt] = None
-    modulus: Optional[int] = None
     note: str = ""
     elapsed_ms: float = field(default=0.0, compare=False)
+
+    @property
+    def modulus(self) -> Optional[int]:
+        """p^k of the residues compared, or None for a row without residues."""
+        return self.lhs_residue.modulus if self.lhs_residue is not None else None
 
 
 @dataclass(frozen=True)
 class Report:
     version: str
-    timestamp: str = field(compare=False)
-    pmin: int = 0
-    pmax: int = 0
-    outcomes: tuple[CheckOutcome, ...] = ()
-    summary: dict = field(default_factory=dict)
+    pmin: int
+    pmax: int
+    outcomes: tuple[CheckOutcome, ...]
+
+    @property
+    def summary(self) -> dict[str, int]:
+        """The number of outcomes of each status, counted from the rows."""
+        return {
+            status: sum(1 for o in self.outcomes if o.status == status)
+            for status in ("pass", "fail", "skipped")
+        }
 
 
 def _residue_outcome(
     check: CheckId, p: int, lhs: ResidueInt, rhs: ResidueInt, note: str = ""
 ) -> CheckOutcome:
     status = "pass" if lhs == rhs else "fail"
-    return CheckOutcome(check, p, status, lhs, rhs, lhs.modulus, note)
+    return CheckOutcome(check, p, status, lhs, rhs, note)
 
 
 def _identity_outcome(check: CheckId, p: int, outcome, note: str = "") -> CheckOutcome:
@@ -475,13 +485,13 @@ def check_b6(p: int, series: ResidueInt, symbols: tuple[ResidueInt, ...]) -> Che
     rhs = 1 - reduce_mod(F(p * p, 4), p, series.k) * series
     coarse_ok = (lhs.value - 1) % p**3 == 0
     if coarse_ok and lhs == rhs:
-        return CheckOutcome(CheckId.B6, p, "pass", lhs, rhs, lhs.modulus)
+        return CheckOutcome(CheckId.B6, p, "pass", lhs, rhs)
     note = []
     if not coarse_ok:
         note.append("product != 1 mod p^3")
     if lhs != rhs:
         note.append("Taylor form fails mod p^4")
-    return CheckOutcome(CheckId.B6, p, "fail", lhs, rhs, lhs.modulus, "; ".join(note))
+    return CheckOutcome(CheckId.B6, p, "fail", lhs, rhs, "; ".join(note))
 
 
 @_declared(CheckId.C5)
@@ -630,17 +640,7 @@ def _run_forked(tasks: list, workers: int) -> list[CheckOutcome]:
     return outcomes
 
 
-def default_workers() -> int:
-    return int(os.environ.get("SUPERCONG_WORKERS", "1"))
-
-
-def run_suite(
-    pmin: int,
-    pmax: int,
-    checks: Iterable[CheckId],
-    workers: Optional[int] = None,
-    timestamp: Optional[str] = None,
-) -> Report:
+def run_suite(pmin: int, pmax: int, checks: Iterable[CheckId], workers: int = 1) -> Report:
     """Run the selected checks over all primes in [pmin, pmax].
 
     The outcome list is sorted by (check, p, note) and is identical for any
@@ -655,8 +655,6 @@ def run_suite(
         raise ConfigError("empty check set")
     if pmin > pmax:
         raise ConfigError(f"pmin {pmin} exceeds pmax {pmax}")
-    if workers is None:
-        workers = default_workers()
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     if workers > 1 and not hasattr(os, "fork"):
@@ -676,24 +674,18 @@ def run_suite(
 
     outcomes = _run_forked(tasks, workers)
     outcomes.sort(key=lambda o: (_CHECK_ORDER[o.check], o.p, o.note))
-    summary = {
-        "pass": sum(1 for o in outcomes if o.status == "pass"),
-        "fail": sum(1 for o in outcomes if o.status == "fail"),
-        "skipped": sum(1 for o in outcomes if o.status == "skipped"),
-    }
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return Report(TOOL_VERSION, timestamp, pmin, pmax, tuple(outcomes), summary)
+    return Report(TOOL_VERSION, pmin, pmax, tuple(outcomes))
 
 
 def _outcome_row(outcome: CheckOutcome, include_timing: bool) -> dict:
+    modulus = outcome.modulus
     row = {
         "check": outcome.check.name,
         "p": outcome.p,
         "status": outcome.status,
         "lhs": str(outcome.lhs_residue.value) if outcome.lhs_residue is not None else None,
         "rhs": str(outcome.rhs_residue.value) if outcome.rhs_residue is not None else None,
-        "modulus": str(outcome.modulus) if outcome.modulus is not None else None,
+        "modulus": str(modulus) if modulus is not None else None,
         "note": outcome.note,
     }
     if include_timing:
@@ -742,40 +734,30 @@ def emit_report(report: Report, fmt: str = "json", include_timing: bool = True) 
     raise ConfigError(f"unknown report format {fmt!r}")
 
 
-def _residue_from(value: Optional[str], p: int, modulus: Optional[int]) -> Optional[ResidueInt]:
+def _residue_from(value: Optional[str], p: int, modulus: Optional[str]) -> Optional[ResidueInt]:
     if value is None or modulus is None:
         return None
-    k = 0
-    m = modulus
-    while m > 1:
-        if m % p:
-            raise ValueError(f"modulus {modulus} is not a power of {p}")
-        m //= p
-        k += 1
+    k, unit = p_split(int(modulus), p)
+    if unit != 1:
+        raise ValueError(f"modulus {modulus} is not a power of {p}")
     return ResidueInt(int(value), p, k)
 
 
 def parse_report(data: bytes) -> Report:
-    """Rebuild a Report from its JSON serialization (timestamp is not on the wire)."""
+    """Rebuild a Report from its JSON serialization; the summary is recounted from the rows."""
     obj = json.loads(data.decode())
     outcomes = []
     for row in obj["outcomes"]:
-        check = CheckId[row["check"]]
         p = row["p"]
-        modulus = int(row["modulus"]) if row["modulus"] is not None else None
-        base = p if check is not CheckId.C1_IDENTITY else 0
         outcomes.append(
             CheckOutcome(
-                check,
+                CheckId[row["check"]],
                 p,
                 row["status"],
-                _residue_from(row["lhs"], base, modulus),
-                _residue_from(row["rhs"], base, modulus),
-                modulus,
+                _residue_from(row["lhs"], p, row["modulus"]),
+                _residue_from(row["rhs"], p, row["modulus"]),
                 row["note"],
                 row.get("elapsed_ms", 0.0),
             )
         )
-    return Report(
-        obj["version"], "", obj["pmin"], obj["pmax"], tuple(outcomes), obj["summary"]
-    )
+    return Report(obj["version"], obj["pmin"], obj["pmax"], tuple(outcomes))

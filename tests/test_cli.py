@@ -11,7 +11,7 @@ import pytest
 
 from supercong import cli, verifier
 from supercong.hypergeom import SeriesSpec, pfq_truncated
-from supercong.verifier import DEFAULT_CHECKS, Report
+from supercong.verifier import DEFAULT_CHECKS, CheckId, CheckOutcome, Report
 
 
 def run_cli(capsys, *argv):
@@ -42,13 +42,47 @@ class TestVerify:
         assert len(lines) == 1 + 6  # header + primes 5..19
 
     def test_exit_one_on_failure(self, capsys, monkeypatch):
-        failing = Report("0", "t", 3, 3, (), {"pass": 0, "fail": 1, "skipped": 0})
+        failing = Report("0", 3, 3, (CheckOutcome(CheckId.A1, 3, "fail"),))
         monkeypatch.setattr(cli, "run_suite", lambda *a, **k: failing)
         code, _, _ = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "3")
         assert code == 1
 
+    def test_out_overwrites_a_longer_file(self, capsys, tmp_path):
+        argv = ("verify", "--checks", "a1", "--pmin", "3", "--pmax", "7", "--no-timing")
+        _, stdout, _ = run_cli(capsys, *argv)
+        target = tmp_path / "report.json"
+        target.write_text("x" * 2 * len(stdout))
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() == stdout
+
+    @pytest.mark.parametrize("target", ["missing/r.json", "."])
+    def test_out_that_cannot_be_written_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
+                                                          target):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_suite", no_sweep)
+        code, out, err = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "5",
+                                 "--out", str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_usage_error_leaves_out_as_it_was(self, capsys, tmp_path):
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+        kept.write_text("an earlier report")
+        for target in (kept, fresh):
+            code, _, err = run_cli(capsys, "verify", "--pmin", "7", "--pmax", "3",
+                                   "--out", str(target))
+            assert code == 2 and err.startswith("error: pmin 7 exceeds pmax 3")
+        assert kept.read_text() == "an earlier report"
+        assert not fresh.exists()
+
     def test_default_checks(self):
         assert cli.build_parser().parse_args(["verify"]).checks == DEFAULT_CHECKS
+
+    def test_one_worker_by_default(self):
+        assert cli.build_parser().parse_args(["verify"]).workers == 1
 
     def test_bad_check_name_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

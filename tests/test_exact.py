@@ -463,3 +463,8 @@ class TestPolynomialHelpers:
     def test_p_split(self, x, p):
         v, u = p_split(x, p)
         assert p**v * u == x and u % p != 0 and v == vp(x, p)
+
+    @pytest.mark.parametrize("x, p", [(0, 3), (9, 1), (9, 0)])
+    def test_p_split_without_a_valuation_raises(self, x, p):
+        with pytest.raises(ValueError):
+            p_split(x, p)

@@ -224,19 +224,10 @@ class TestRunSuite:
         assert all(o.note for o in report.outcomes if o.status == "skipped")
 
     def test_deterministic_across_workers(self):
-        kwargs = dict(timestamp="fixed")
-        r1 = run_suite(3, 20, {CheckId.A1, CheckId.A3, CheckId.TRACE_RELATION}, workers=1, **kwargs)
-        r2 = run_suite(3, 20, {CheckId.A1, CheckId.A3, CheckId.TRACE_RELATION}, workers=3, **kwargs)
+        r1 = run_suite(3, 20, {CheckId.A1, CheckId.A3, CheckId.TRACE_RELATION}, workers=1)
+        r2 = run_suite(3, 20, {CheckId.A1, CheckId.A3, CheckId.TRACE_RELATION}, workers=3)
         assert emit_report(r1, include_timing=False) == emit_report(r2, include_timing=False)
         assert r1 == r2  # outcome equality ignores elapsed_ms
-
-    def test_worker_default_from_environment(self, monkeypatch):
-        from supercong.verifier import default_workers
-
-        monkeypatch.setenv("SUPERCONG_WORKERS", "3")
-        assert default_workers() == 3
-        monkeypatch.delenv("SUPERCONG_WORKERS")
-        assert default_workers() == 1
 
 
 def counting_forks(monkeypatch) -> list[int]:
@@ -269,10 +260,10 @@ class TestForkedWorkers:
     def test_every_outcome_comes_back_once(self):
         for k in range(8):
             pmin, pmax = (3, self.PRIMES[k - 1]) if k else (4, 4)
-            one = run_suite(pmin, pmax, {CheckId.A1}, workers=1, timestamp="t")
+            one = run_suite(pmin, pmax, {CheckId.A1}, workers=1)
             assert [o.p for o in one.outcomes] == self.PRIMES[:k]
             for workers in range(2, 6):
-                many = run_suite(pmin, pmax, {CheckId.A1}, workers=workers, timestamp="t")
+                many = run_suite(pmin, pmax, {CheckId.A1}, workers=workers)
                 assert [o.p for o in many.outcomes] == self.PRIMES[:k], (k, workers)
                 assert emit_report(many, include_timing=False) == emit_report(one, include_timing=False)
 
@@ -550,11 +541,34 @@ class TestDispatch:
 
 class TestReports:
     def sample_report(self):
-        return run_suite(3, 15, {CheckId.A1, CheckId.TRACE_RELATION}, workers=1, timestamp="t0")
+        return run_suite(3, 15, {CheckId.A1, CheckId.TRACE_RELATION}, workers=1)
 
     def test_json_round_trip(self):
         report = self.sample_report()
         assert parse_report(emit_report(report)) == report
+
+    def test_round_trip_of_every_status(self):
+        report = run_suite(3, 13, {CheckId.A1, CheckId.A4, CheckId.C1_IDENTITY}, workers=1)
+        failed = CheckOutcome(CheckId.A3, 5, "fail", ResidueInt(1, 5, 3), ResidueInt(2, 5, 3), "x")
+        report = Report(report.version, 3, 13, report.outcomes + (failed,))
+        parsed = parse_report(emit_report(report))
+        assert parsed == report and parsed.summary == report.summary
+        assert parsed.outcomes[-1].modulus == 125
+
+    @pytest.mark.parametrize("modulus", ["12", "1", "0", "-9"])
+    def test_parse_rejects_a_modulus_not_a_power_of_p(self, modulus):
+        obj = json.loads(emit_report(self.sample_report()))
+        assert obj["outcomes"][0]["p"] == 3
+        obj["outcomes"][0]["modulus"] = modulus
+        with pytest.raises(ValueError):
+            parse_report(json.dumps(obj).encode())
+
+    def test_summary_counts_the_outcomes(self):
+        rows = [("pass", 3), ("skipped", 5), ("fail", 7), ("pass", 11), ("skipped", 13)]
+        outcomes = tuple(CheckOutcome(CheckId.A1, p, status) for status, p in rows)
+        report = Report("0", 3, 13, outcomes)
+        assert list(report.summary.items()) == [("pass", 2), ("fail", 1), ("skipped", 2)]
+        assert b'"summary": {\n    "pass": 2,\n    "fail": 1,\n    "skipped": 2\n  }' in emit_report(report)
 
     def test_json_schema_fields(self):
         obj = json.loads(emit_report(self.sample_report()).decode())
@@ -570,7 +584,7 @@ class TestReports:
         assert lines[1].startswith("A1,3,pass,23,23,27")
 
     def test_empty_report_summary_zeros(self):
-        report = Report("0", "t", 3, 3, (), {"pass": 0, "fail": 0, "skipped": 0})
+        report = Report("0", 3, 3, ())
         obj = json.loads(emit_report(report).decode())
         assert obj["outcomes"] == []
         assert obj["summary"] == {"pass": 0, "fail": 0, "skipped": 0}
@@ -582,14 +596,13 @@ class TestReports:
     @pytest.mark.parametrize("include_timing", [True, False])
     def test_json_is_json_dumps_with_indent_2(self, include_timing):
         sample = run_suite(3, 13, {CheckId.A1, CheckId.A4, CheckId.TRACE_RELATION,
-                                   CheckId.C1_IDENTITY}, workers=1, timestamp="t")
+                                   CheckId.C1_IDENTITY}, workers=1)
         failed = CheckOutcome(CheckId.A3, 5, "fail", ResidueInt(1, 5, 3), ResidueInt(2, 5, 3),
-                              125, 'a "quoted" note: \u00e9\t\\', 0.25)
+                              'a "quoted" note: \u00e9\t\\', 0.25)
         reports = [
             sample,
-            Report(sample.version, "t", 3, 13, sample.outcomes + (failed,), {"pass": 1}),
-            Report("0", "t", 3, 3, (), {"pass": 0, "fail": 0, "skipped": 0}),
-            Report("0", "t", 4, 4, (), {}),
+            Report(sample.version, 3, 13, sample.outcomes + (failed,)),
+            Report("0", 3, 3, ()),
         ]
         assert {o.status for o in reports[1].outcomes} == {"pass", "fail", "skipped"}
         assert any(o.lhs_residue is None for o in sample.outcomes)
