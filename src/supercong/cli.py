@@ -7,15 +7,6 @@ configuration error.
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-# argparse's gettext imports locale on first use; import it here, with the rest of set-up
-import locale  # noqa: F401
-import os
-import sys
-from fractions import Fraction
-
 from .eta import f_coefficients
 from .exact import NegativeValuation, fraction_str
 from .hypergeom import (
@@ -28,13 +19,18 @@ from .hypergeom import (
 )
 from .padic_gamma import gamma_p
 from .variety import BRUTE_FORCE_MAX, brute_force_N, count_N
-from .verifier import (
-    DEFAULT_CHECKS,
-    CheckId,
-    ConfigError,
-    emit_report,
-    run_suite,
-)
+from .verifier import DEFAULT_CHECKS, CheckId, ConfigError, emit_report, run_suite
+
+# the standard modules after the package's: the process peaks lower
+import argparse
+import gc
+import json
+# argparse's gettext imports locale on first use; import it here, with the rest of set-up
+import locale  # noqa: F401
+import os
+import re
+import sys
+from fractions import Fraction
 
 
 def _fraction(text: str) -> Fraction:
@@ -46,6 +42,18 @@ def _fraction(text: str) -> Fraction:
 
 def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(part) for part in text.split(",") if part.strip()]
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each value such as -1/3, which argparse takes for an option as it is neither
+    an int nor a decimal, joined to the option before it: --z -1/3 as --z=-1/3."""
+    out: list[str] = []
+    for token in argv:
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-[\d.]", token):
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _check_set(text: str) -> set[CheckId]:
@@ -199,7 +207,7 @@ def main(argv=None) -> int:
     # and a forked worker does not copy their headers
     gc.freeze()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     handlers = {
         "verify": _cmd_verify,
         "eta": _cmd_eta,

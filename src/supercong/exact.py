@@ -26,17 +26,18 @@ caller's ``run`` gives, and the halves are composed by the caller's
 ``remainder_tree`` is the accumulating remainder tree (Costa-Gerbicz-Harvey)
 that gives every prefix of the steps, each reduced mod its own modulus, over
 any node type.  It cuts the steps into segments at the given ends and splits
-each one; the first segment, which every prefix reads, is reduced mod the
-product of all moduli.  Both functions reduce a node only through the node
-type's ``reduce``.  ``hypergeom.pfq_residues`` walks it with the (P, Q, T)
-triples of a series.  ``rising_coefficients`` walks it with polynomials: the
-K lowest coefficients of (1+y)_n at many (n, modulus) leaves.  A Pochhammer
-symbol whose parameters depend on p only through y = p*t, t p-integral, is
-a value of (1+y)_n (``poly_value``), and mod p^K only those K coefficients
-matter, so one tree gives such a symbol at every prime of a sweep, and a
-tree of one prime's leaves gives it at that prime.  The congruence checks
-read every Pochhammer symbol this way and multiply only residues; the exact
-symbol, and a product of residues one factor at a time, are test oracles.
+each one, reduced mod the product of the moduli of the prefixes that read it
+where that product is the smaller.  Both functions reduce a node only through
+the node type's ``reduce``.  ``hypergeom.pfq_residues`` walks it with the
+(P, Q, T) triples of a series.  ``rising_coefficients`` walks it with
+polynomials: the K lowest coefficients of (1+y)_n at many (n, modulus)
+leaves.  A Pochhammer symbol whose parameters depend on p only through
+y = p*t, t p-integral, is a value of (1+y)_n (``poly_value``), and mod p^K
+only those K coefficients matter, so one tree gives such a symbol at every
+prime of a sweep, and a tree of one prime's leaves gives it at that prime.
+The congruence checks read every Pochhammer symbol this way and multiply
+only residues, and Gamma_p reads its block polynomial and tail this way;
+the exact symbol, and a product of residues one at a time, are oracles.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Sequence, Union
 
@@ -301,9 +303,10 @@ def remainder_tree(run, ends: list[int], moduli: list[int], compose, reduce, one
     An accumulating remainder tree (Costa-Gerbicz-Harvey) over any node type:
     run, compose and reduce are those of ``split_product``, and one is the
     empty node.  The ends must never decrease; equal ends give empty
-    segments.  The steps between consecutive ends are the segments, each
-    summed by ``split_product``; every prefix reads the first, so it is
-    reduced mod the product of all moduli, and the rest are left unreduced.
+    segments.  Segment i, the steps ends[i-1]..ends[i]-1, is summed by
+    ``split_product``; only prefixes i, i+1, ... read it, so it is reduced
+    mod the product of their moduli when its step count times the bit length
+    of its end, about its unreduced size, exceeds their summed bit lengths.
     Product trees of the segments and of the moduli are built bottom-up,
     then each node receives the composition of every segment to its left,
     reduced mod the product of its own moduli.  The root's product is never
@@ -313,8 +316,10 @@ def remainder_tree(run, ends: list[int], moduli: list[int], compose, reduce, one
         return []
     if ends[0] < 0 or any(b < a for a, b in zip(ends, ends[1:])):
         raise ValueError("the sequence of ends starts below 0 or decreases")
-    segments = [split_product(run, compose, reduce, 0, ends[0], product_tree(moduli))]
-    segments += [split_product(run, compose, reduce, a, b) for a, b in zip(ends, ends[1:])]
+    bits = [*accumulate(m.bit_length() for m in reversed(moduli))][::-1]  # bits[i]: moduli[i:]
+    segments = [split_product(run, compose, reduce, a, b,
+                              product_tree(moduli[i:]) if (b - a) * b.bit_length() > bits[i] else 0)
+                for i, (a, b) in enumerate(zip([0, *ends], ends))]
     seg_levels, mod_levels = [segments], [moduli]
     while len(seg_levels[-1]) > 2:
         seg_levels.append(_pairwise(seg_levels[-1], compose))
@@ -358,15 +363,17 @@ def rising_coefficients(leaves: list[tuple[int, int]], k: int) -> list[list[int]
     Step s - 1 is the factor y + s, and the positions n are the ends of one
     ``remainder_tree``.  A congruence reads (1+y)_n at y = p*t with t
     p-integral, and there y^d = 0 mod p^k for d >= k, so the k coefficients
-    mod p^k give every such value mod p^k (``poly_value``).
+    mod p^k give every such value mod p^k (``poly_value``).  A sweep's leaves
+    are the positions of every prime, ``padic_gamma.gamma_p``'s r - 1 and p - 1.
     """
 
     one = [1] + [0] * (k - 1)
+    degrees = range(k - 1, 0, -1)  # built once, not at every step
 
     def run(a: int, c: int) -> list[int]:
         f = list(one)
         for s in range(a + 1, c + 1):
-            for d in range(k - 1, 0, -1):
+            for d in degrees:
                 f[d] = f[d] * s + f[d - 1]
             f[0] *= s
         return f

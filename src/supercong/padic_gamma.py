@@ -13,8 +13,10 @@ the factors prime to p fall into Q full blocks and a tail:
     prod_{0<j<m, p not | j} j = prod_{i<Q} H(i) * prod_{0<s<r} (Q*p + s),
     H(y) = prod_{s=1}^{p-1} (p*y + s).
 
-The y^d coefficient of H is divisible by p^d, so every term of degree >= k
-vanishes at an integer y mod p^k: H is cut to degree < k and reduced mod p^k.
+The y^d coefficient of H is p^d times that of (1+y)_{p-1}, with
+(1+y)_n = prod_{s=1}^{n} (y + s), and the tail is (1+y)_{r-1} at y = Q*p,
+so k coefficients of each suffice mod p^k: one ``exact.rising_coefficients``
+call, the tree of the checks' Pochhammer symbols, with leaves r-1 and p-1.
 
 The blocks come from Newton interpolation (Mahler).  H(0) = (p-1)! is a
 unit, and g(n) = prod_{i<n} H(i) / H(0)^n satisfies
@@ -34,42 +36,23 @@ vp(D^c g(0)) >= ceil(c/2) >= k once c >= 2k-1.  Newton's series of g at an
 integer Q is the exact finite sum over c <= Q, and for Q <= 2k-2 the formula
 is exact.
 
-Cost: O(p*k) to build H, O(k^2) for its 2k-2 values and their differences,
-and O(p) for the tail -- all exact integer arithmetic mod p^k.  The
-definitional product and the Taylor-shift doubling this replaced survive
-only as test oracles.
+Cost: a tree over p - 1 steps, O(p*k) in its runs and O(k^2) in each of
+its p/16 nodes, and O(k^2) for the Newton sum.  The definitional product
+and the Taylor-shift doubling survive only as test oracles.
 """
 
 from __future__ import annotations
 
 import math
 
-from .exact import RationalLike, ResidueInt, is_prime, poly_value, reduce_mod
+from .exact import RationalLike, ResidueInt, is_prime, poly_value, reduce_mod, rising_coefficients
 
 
-def _check_modulus(p: int, k: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"Gamma_p needs a precision exponent k >= 1, got {k!r}")
-    if not is_prime(p):
-        raise ValueError(f"Gamma_p needs a prime p, got {p!r}")
-
-
-def _block_polynomial(p: int, k: int, modulus: int) -> list[int]:
-    """H(y) = prod_{s=1}^{p-1} (p*y + s) cut to degree < k, mod p^k."""
-    h = [1] + [0] * (k - 1)
-    for s in range(1, p):
-        for d in range(k - 1, 0, -1):
-            h[d] = (s * h[d] + p * h[d - 1]) % modulus
-        h[0] = h[0] * s % modulus
-    return h
-
-
-def _blocks_product(q: int, p: int, k: int, modulus: int) -> int:
-    """prod_{i<q} H(i) mod p^k, by Newton interpolation from H(0), ..., H(2k-3)."""
-    h = _block_polynomial(p, k, modulus)
+def _blocks_product(q: int, h: list[int], modulus: int) -> int:
+    """prod_{i<q} H(i) mod p^k, by Newton interpolation from H(0), ..., H(2k-3), k = len(h)."""
     scale = pow(h[0], -1, modulus)
     g = [1]  # g(n) = prod_{i<n} H(i) / H(0)^n for n = 0..min(q, 2k-2)
-    for i in range(min(q, 2 * k - 2)):
+    for i in range(min(q, 2 * len(h) - 2)):
         g.append(g[-1] * poly_value(h, i, modulus) * scale % modulus)
     total = 0
     for c in range(len(g)):  # g[0] is now D^c g(0)
@@ -86,12 +69,14 @@ def gamma_p(x: RationalLike, p: int, k: int) -> ResidueInt:
     Raises ValueError unless p is prime and k is an int >= 1, and
     NegativeValuation when x is not p-integral.
     """
-    _check_modulus(p, k)
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"Gamma_p needs a precision exponent k >= 1, got {k!r}")
+    if not is_prime(p):
+        raise ValueError(f"Gamma_p needs a prime p, got {p!r}")
     modulus = p**k
     m = reduce_mod(x, p, k).value
     q, r = divmod(m, p)
-    acc = _blocks_product(q, p, k, modulus)
-    base = q * p
-    for s in range(1, r):
-        acc = acc * (base + s) % modulus
+    tail, block = rising_coefficients([(max(r - 1, 0), modulus), (p - 1, modulus)], k)
+    h = [c * p**d % modulus for d, c in enumerate(block)]
+    acc = _blocks_product(q, h, modulus) * poly_value(tail, q * p, modulus) % modulus
     return ResidueInt(-acc % modulus if m % 2 else acc, p, k)

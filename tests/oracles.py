@@ -11,9 +11,10 @@
   one offset, and its joint Pochhammer symbol over Q.
 - ``ramanujan_float_check``: the full Van Hamme 6F5(-1) in double precision
   against its Gamma closed form, the only float computation of the project.
-- ``gamma_p_doubling``: Gamma_p(x) mod p^k with the block product by Taylor-shift
-  doubling; the oracle of ``padic_gamma.gamma_p`` where the definitional
-  product is out of reach.
+- ``gamma_p_doubling``: Gamma_p(x) mod p^k from the block polynomial H built
+  one factor at a time, with the block product by Taylor-shift doubling; the
+  oracle of ``padic_gamma.gamma_p`` where the definitional product is out of
+  reach.
 - ``sp``, ``legendre``: the representative of x mod p in {1..p}, and Euler's
   criterion.
 """
@@ -30,7 +31,6 @@ from supercong.exact import (
     RationalLike,
     ResidueInt,
     cleared_factor,
-    cut_product,
     p_split,
     pochhammer,
     pochhammer_pair,
@@ -41,7 +41,6 @@ from supercong.hypergeom import (
     ZeroDenominatorPochhammer,
     _guard,
 )
-from supercong.padic_gamma import _block_polynomial, _check_modulus
 
 
 class GuardExceeded(NegativeValuation):
@@ -216,6 +215,21 @@ def _shift(f: list[int], a: int, modulus: int) -> list[int]:
     return [x % modulus for x in c]
 
 
+def _cut_product(f: list[int], g: list[int], modulus: int) -> list[int]:
+    """f * g cut to the length of f, mod modulus."""
+    return [sum(f[a] * g[d - a] for a in range(d + 1)) % modulus for d in range(len(f))]
+
+
+def _block_polynomial(p: int, k: int, modulus: int) -> list[int]:
+    """H(y) = prod_{s=1}^{p-1} (p*y + s) cut to degree < k, mod p^k, one factor at a time."""
+    h = [1] + [0] * (k - 1)
+    for s in range(1, p):
+        for d in range(k - 1, 0, -1):
+            h[d] = (s * h[d] + p * h[d - 1]) % modulus
+        h[0] = h[0] * s % modulus
+    return h
+
+
 def gamma_p_doubling(x: RationalLike, p: int, k: int) -> ResidueInt:
     """Gamma_p(x) mod p^k, with prod_{i<Q} H(i) by doubling G_n(y) = prod_{i<n} H(y + i).
 
@@ -223,7 +237,6 @@ def gamma_p_doubling(x: RationalLike, p: int, k: int) -> ResidueInt:
     per doubling, or per added block, over the bits of Q; the shifts keep
     the y^d coefficients divisible by p^d, so the cut to degree < k is exact.
     """
-    _check_modulus(p, k)
     modulus = p**k
     m = reduce_mod(x, p, k).value
     q, r = divmod(m, p)
@@ -232,10 +245,10 @@ def gamma_p_doubling(x: RationalLike, p: int, k: int) -> ResidueInt:
         h = _block_polynomial(p, k, modulus)
         g, n = h, 1  # g = G_n
         for bit in bin(q)[3:]:
-            g = [c % modulus for c in cut_product(g, _shift(g, n, modulus))]
+            g = _cut_product(g, _shift(g, n, modulus), modulus)
             n *= 2
             if bit == "1":
-                g = [c % modulus for c in cut_product(g, _shift(h, n, modulus))]
+                g = _cut_product(g, _shift(h, n, modulus), modulus)
                 n += 1
         acc = g[0]
     for s in range(1, r):

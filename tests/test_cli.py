@@ -283,6 +283,23 @@ class TestOtherCommands:
         value = F(*(int(Decimal(part)) for part in out.strip().split("/")))
         assert value == pfq_truncated(SeriesSpec((F(1, 3), F(2, 7)), (F(7, 11),), F(5, 13), 1500))
 
+    @pytest.mark.parametrize("attached", [False, True])
+    @pytest.mark.parametrize("command, option, value, rest, expected", [
+        ("hyper", "--top", "-1/2,1", ("--bottom", "1", "--z", "1", "--terms", "3"),
+         pfq_truncated(SeriesSpec((F(-1, 2), F(1)), (F(1),), F(1), 3))),
+        ("hyper", "--z", "-1/3", ("--top", "1/2", "--bottom", "1", "--terms", "3"),
+         pfq_truncated(SeriesSpec((F(1, 2),), (F(1),), F(-1, 3), 3))),
+        ("hyper", "--z", "-.5", ("--top", "1", "--bottom", "1", "--terms", "2"), "5/8"),
+        ("gammap", "--x", "-7/3", ("--p", "5", "--k", "2"), "Gamma_5(-7/3) = 24 (mod 5^2)"),
+    ])
+    def test_negative_rational_values(self, capsys, command, option, value, rest, expected,
+                                      attached):
+        # argparse alone reads a value such as -1/3, neither an int nor a decimal, as an
+        # option; written as --z -1/3 or --z=-1/3 it is the value
+        given = (f"{option}={value}",) if attached else (option, value)
+        code, out, err = run_cli(capsys, command, *given, *rest)
+        assert (code, out, err) == (0, f"{expected}\n", "")
+
     def test_hyper_vanishing_bottom_pochhammer_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "hyper", "--top", "1", "--bottom", "-1", "--z", "1", "--terms", "3"

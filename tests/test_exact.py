@@ -19,6 +19,7 @@ from supercong.exact import (
     ResidueInt,
     cleared_factor,
     cleared_progression,
+    cut_product,
     fraction_str,
     LEAF_STEPS,
     is_prime,
@@ -374,6 +375,29 @@ def int_reduce(a, modulus):
 WALK_LENGTHS = (0, 1, 15, 16, 17, 33, 100)
 
 
+def rising_run(k):
+    """The run of ``split_product`` over the factors y + s of (1+y)_n: one cut product each."""
+
+    def run(a, c):
+        f = [1] + [0] * (k - 1)
+        for s in range(a + 1, c + 1):
+            f = cut_product(f, [s, 1] + [0] * (k - 2))
+        return f
+
+    return run
+
+
+def rising_prefixes(ends, k):
+    """(1+y)_n cut to k coefficients at each n of the sorted ends, from the full product."""
+    out, f, n = [], [1] + [0] * (k - 1), 0
+    for end in ends:
+        for s in range(n + 1, end + 1):
+            f = cut_product(f, [s, 1] + [0] * (k - 2))
+        out.append(f)
+        n = end
+    return out
+
+
 class TestSplitProduct:
     """``split_product`` with int nodes: compose is mul, and a run is the product of its steps."""
 
@@ -440,6 +464,41 @@ class TestRemainderTree:
         out = remainder_tree(run, ends, moduli, mul, lambda a, m: seen.append(m) or a % m, 1)
         assert math.prod(moduli) in seen
         assert out == [math.prod(xs[:e]) % m for e, m in zip(ends, moduli)]
+
+    def test_window_ends_with_long_segments_and_few_moduli(self):
+        # the b4/b6 positions of 2100..2200: segments of about 1000 steps up to the first
+        # p // 2 and from the last p // 2 to the first p - 1, short ones between, and
+        # 42 moduli p^4 against prefixes of up to 2198 factors
+        k = 4
+        leaves = sorted({(n, p**k) for p in primes_between(2100, 2200) for n in (p // 2, p - 1)})
+        ends, moduli = [n for n, _ in leaves], [m for _, m in leaves]
+        seen = []
+        out = remainder_tree(rising_run(k), ends, moduli, cut_product,
+                             lambda f, m: seen.append(m) or [c % m for c in f], [1] + [0] * (k - 1))
+        assert out == [[c % m for c in f] for f, m in zip(rising_prefixes(ends, k), moduli)]
+        long_segments = [i for i, (a, b) in enumerate(zip([0, *ends], ends)) if b - a > 500]
+        assert len(long_segments) == 2 and all(math.prod(moduli[i:]) in seen for i in long_segments)
+
+    def test_one_prime_with_two_leaves(self):
+        # Gamma_p's leaves r - 1 and p - 1 at one prime: the first segment is read by both
+        p, k = 2003, 5
+        for r in (1, 2, 17, 600, p - 1):
+            ends = [r - 1, p - 1]
+            out = remainder_tree(rising_run(k), ends, [p**k] * 2, cut_product,
+                                 lambda f, m: [c % m for c in f], [1] + [0] * (k - 1))
+            assert out == [[c % p**k for c in f] for f in rising_prefixes(ends, k)], r
+
+    def test_only_segments_that_outgrow_their_readers_moduli_are_reduced(self):
+        # segment i is read by leaves i..4, whose moduli have 104, 84, 63, 42 and 21 bits in
+        # all, and its steps times the bit length of its end are 240, 12, 406, 7 and 7; the
+        # product of moduli 2..4 is no node of the moduli's own tree
+        xs, run = int_steps(102, 5, positive=True)
+        ends, moduli = [40, 42, 100, 101, 102], [101**3, 103**3, 107**3, 109**3, 113**3]
+        seen = []
+        out = remainder_tree(run, ends, moduli, mul, lambda a, m: seen.append(m) or a % m, 1)
+        assert out == [math.prod(xs[:e]) % m for e, m in zip(ends, moduli)]
+        assert math.prod(moduli) in seen and math.prod(moduli[2:]) in seen
+        assert math.prod(moduli[1:]) not in seen and math.prod(moduli[3:]) not in seen
 
     def test_no_ends(self):
         assert remainder_tree(lambda a, c: 1 / 0, [], [], mul, int_reduce, 1) == []
