@@ -23,12 +23,13 @@ tests.  ``pfq_residues`` gives the residues of the congruence checks: a
 truncation index that does, and one accumulating remainder tree
 (``exact.remainder_tree``) over its step factors, with the truncations as
 its ends, gives the residue mod p^k at every prime of a sweep, with no
-O(p^2)-bit denominator ever formed.  At a single prime it is the same tree
-with one leaf (``kilbourn_lhs``, ``thm1_rhs``, ``vanhamme_lhs``,
-``half_harmonic2``).  The slow references, the term-by-term sum from
-Pochhammer symbols and a residue recurrence run one step at a time, are
-test oracles only (``tests/oracles.py``).  On top of the
-evaluators sit the concrete sums and identity instances the verifier
+O(p^2)-bit denominator ever formed: each prefix is reduced mod
+p^(k + vp(Q) + max(0, -e)), with vp(Q) counted from the parameters.  At a
+single prime it is the same tree with one leaf (``kilbourn_lhs``,
+``thm1_rhs``, ``vanhamme_lhs``, ``half_harmonic2``).  The slow references,
+the term-by-term sum from Pochhammer symbols and a residue recurrence run
+one step at a time, are test oracles only (``tests/oracles.py``).  On top
+of the evaluators sit the concrete sums and identity instances the verifier
 checks: Kilbourn's 4F3, the Theorem 1 4F3, the Van Hamme 6F5(-1), the half
 harmonic sum as a 3F2, Whipple's terminating 6F5 with its fully rational
 closed form, Bailey's 4F3 transformation specialized at cube-root-of-unity
@@ -51,6 +52,7 @@ from .exact import (
     NegativeValuation,
     ResidueInt,
     Progression,
+    cleared_factor,
     cleared_progression,
     is_prime,
     p_split,
@@ -203,23 +205,12 @@ def pfq_truncated(spec: SeriesSpec) -> Fraction:
     return Fraction(*pfq_pair(spec))
 
 
-def _guard(bottom) -> int:
-    """The number of bottom parameters, a pair counting as two."""
-    return sum(2 if isinstance(b, ConjugatePair) else 1 for b in bottom)
+def _prefix_residue(node, p: int, k: int, e: int, precision: int) -> ResidueInt | NegativeValuation:
+    """p^e * (Q + T) / Q mod p^k from a prefix (P, Q, T) reduced mod p^precision, or the
+    NegativeValuation when p^e times the sum is not p-integral.
 
-
-def _valuation(x: int, p: int, precision: int) -> int:
-    """vp(x) for x reduced mod p^precision, or precision when x is 0 there."""
-    return p_split(x, p)[0] if x else precision
-
-
-def _prefix_residue(node, p: int, k: int, e: int, precision: int) -> ResidueInt:
-    """p^e * (Q + T) / Q mod p^k from a prefix (P, Q, T) reduced mod p^precision.
-
-    The precision must be at least k + vp(Q) + max(0, -e): enough to read Q's
-    unit part and (Q + T) / p^(vp(Q) - e) mod p^k.
-
-    Raises NegativeValuation when p^e times the sum is not p-integral.
+    The precision is k + vp(Q) + max(0, -e) (``_prefix_valuations``): just
+    enough to read Q's unit part and (Q + T) / p^(vp(Q) - e) mod p^k.
     """
     _, Q, T = node
     v, unit = p_split(Q, p)
@@ -227,7 +218,7 @@ def _prefix_residue(node, p: int, k: int, e: int, precision: int) -> ResidueInt:
     shift = e - v
     if shift < 0:
         if total % p**-shift:
-            raise NegativeValuation(
+            return NegativeValuation(
                 f"{p}^{e} times the sum has negative {p}-adic valuation, cannot reduce mod {p}^{k}"
             )
         total //= p**-shift
@@ -253,52 +244,61 @@ class SeriesFamily:
         return SeriesSpec(self.top, self.bottom, self.argument, self.truncation(p))
 
 
+def _prefix_valuations(family: SeriesFamily, primes: list[int], ends: list[int], steps: int) -> list[int]:
+    """vp(Q) of the prefix of each p of primes: of the product of the step denominators Q(j)
+    over j < min(end, steps), with end its truncation and steps the count ``_steps`` left.
+
+    Q(j) = z_den * top_den * (j + 1) * prod of n + j*d over the bottom parameters n/d, which
+    must be rational (``_steps``).  A factor n + j*d with p not dividing d is divisible by p
+    only at j = -n/d (mod p), where its full valuation is read; with p | d it is a unit.
+    """
+    constant = family.argument.denominator * math.prod(cleared_factor(a)[1] for a in family.top)
+    linear = [(1, 1), *((b.numerator, b.denominator) for b in family.bottom)]
+    factors = [(c, d, linear.count((c, d))) for c, d in dict.fromkeys(linear)]
+    out = []
+    for p, end in zip(primes, ends):
+        n = min(end, steps)
+        v = 0 if constant % p else n * p_split(constant, p)[0]
+        for c, d, count in factors:
+            if d % p and (first := -c * pow(d, -1, p) % p) < n:
+                for j in range(first, n, p):
+                    v += count * p_split(c + j * d, p)[0]
+        out.append(v)
+    return out
+
+
 def pfq_residues(
     family: SeriesFamily, primes: list[int], k: int, e: int = 0
 ) -> list[ResidueInt | NegativeValuation]:
     """p^e * pfq_truncated(family.at(p)) mod p^k for every p of primes, from one remainder tree.
 
-    The family's truncation index must never decrease along primes.  The
-    step factors are built once, for the largest truncation, and the
-    truncations are the ends of one ``exact.remainder_tree`` over them, which
-    reduces the prefix of each p mod p^(k+g) (for e >= 0), with the guard g
-    the number of bottom parameters, a pair counting as two.  Nothing is
-    divided before that, so a bottom factor divisible by p needs no
-    valuation bookkeeping in the tree.  A prefix whose denominator Q has
-    vp(Q) > g (p-factors of the step numerators and denominators can cancel
-    in the terms) is summed again at that prime with g = vp(Q), by a tree of
-    one leaf, which the declared families never need.
+    The family's truncation index must never decrease along primes, and its
+    bottom parameters must be rational (a bottom ``ConjugatePair`` raises
+    ValueError).  The step factors are built once, for the largest
+    truncation, and the truncations are the ends of one remainder tree over
+    them; the prefix of p is reduced mod p^(k + vp(Q) + max(0, -e)), with
+    vp(Q) counted from the parameters (``_prefix_valuations``).
 
-    Entry i is the residue at primes[i], or the NegativeValuation its prefix
-    raised (see ``_prefix_residue``).  ZeroDenominatorPochhammer is raised
-    for the whole family when a bottom factor vanishes before the largest
-    truncation.
+    Entry i is the residue at primes[i], or the NegativeValuation of its
+    prefix.  ZeroDenominatorPochhammer is raised for the whole family when a
+    bottom factor vanishes before the largest truncation.
     """
+    if any(isinstance(b, ConjugatePair) for b in family.bottom):
+        raise ValueError("pfq_residues counts vp(Q) of rational bottom parameters only")
     if not primes:
         return []
     ends = [family.truncation(p) for p in primes]
-    guard = _guard(family.bottom)
-    extra = max(0, -e)
-    precision = k + guard + extra
-    run = _run(*_step_factors(family.at(primes[-1])))
-    moduli = [p**precision for p in primes]
-    out: list[ResidueInt | NegativeValuation] = []
-    prefixes = remainder_tree(run, ends, moduli, _compose, _reduce, _ONE)
-    for node, p, end in zip(prefixes, primes, ends):
-        g = guard
-        while (v := _valuation(node[1], p, k + g + extra)) > g:
-            g = v
-            (node,) = remainder_tree(run, [end], [p ** (k + g + extra)], _compose, _reduce, _ONE)
-        try:
-            out.append(_prefix_residue(node, p, k, e, k + g + extra))
-        except NegativeValuation as exc:
-            out.append(exc)
-    return out
+    ps, qs = _step_factors(family.at(primes[-1]))
+    precisions = [k + v + max(0, -e) for v in _prefix_valuations(family, primes, ends, len(ps))]
+    moduli = [p**precision for p, precision in zip(primes, precisions)]
+    prefixes = remainder_tree(_run(ps, qs), ends, moduli, _compose, _reduce, _ONE)
+    return [_prefix_residue(node, p, k, e, precision)
+            for node, p, precision in zip(prefixes, primes, precisions)]
 
 
 def _residue_at(spec: SeriesSpec, p: int, k: int, e: int = 0) -> ResidueInt:
-    """p^e * pfq_truncated(spec) mod p^k: ``pfq_residues`` at the one prime p; raises what
-    its prefix raised."""
+    """p^e * pfq_truncated(spec) mod p^k: ``pfq_residues`` at the one prime p; raises the
+    NegativeValuation of its prefix."""
     family = SeriesFamily(spec.top, spec.bottom, spec.argument, lambda _: spec.terms)
     (residue,) = pfq_residues(family, [p], k, e)
     if isinstance(residue, NegativeValuation):

@@ -36,15 +36,16 @@ from supercong.exact import (
     pochhammer_pair,
     reduce_mod,
 )
-from supercong.hypergeom import (
-    SeriesSpec,
-    ZeroDenominatorPochhammer,
-    _guard,
-)
+from supercong.hypergeom import SeriesSpec, ZeroDenominatorPochhammer
 
 
 class GuardExceeded(NegativeValuation):
     """A term of ``pfq_residue`` has valuation below the guard its fixed precision allows."""
+
+
+def _guard(bottom) -> int:
+    """The guard of ``pfq_residue``: the number of bottom parameters, a pair counting as two."""
+    return sum(2 if isinstance(b, ConjugatePair) else 1 for b in bottom)
 
 
 def pair_factor(pair: ConjugatePair, k: int) -> Fraction:

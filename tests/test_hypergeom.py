@@ -24,6 +24,7 @@ from supercong.exact import (
     Progression,
     cleared_factor,
     cleared_progression,
+    p_split,
     pochhammer,
     reduce_mod,
     vp,
@@ -38,6 +39,7 @@ from supercong.hypergeom import (
     SeriesFamily,
     SeriesSpec,
     ZeroDenominatorPochhammer,
+    _prefix_valuations,
     _step_factors,
     bailey_b1_check,
     c3_check,
@@ -403,10 +405,10 @@ def exact_residue(spec, p, k, e):
 @st.composite
 def residue_families(draw):
     """A family with fixed parameters and argument and a truncation growing with p, some
-    primes, k and e; bottom parameters with small denominators hit p at some steps."""
+    primes, k and e; rational bottom parameters with small denominators hit p at some steps,
+    and a top parameter may be a pair."""
     top = draw(rational_params(0, 3)) + draw(st.lists(conjugate_pairs, max_size=1))
-    bottom = draw(st.lists(small_rationals.filter(lambda x: x > 0), max_size=3))
-    bottom += draw(st.lists(conjugate_pairs, max_size=1))
+    bottom = draw(st.lists(small_rationals.filter(lambda x: x > 0), max_size=4))
     argument = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
     scale, shift = draw(st.sampled_from([(1, 0), (2, -1), (4, 1)]))
     offset = draw(st.integers(-1, 3))
@@ -461,12 +463,7 @@ class TestPfqResidues:
     @settings(max_examples=200, deadline=None)
     def test_against_single_prime(self, case):
         family, primes, k, e = case
-        try:
-            got = pfq_residues(family, primes, k, e)
-        except ZeroDenominatorPochhammer:
-            with pytest.raises((ZeroDenominatorPochhammer, GuardExceeded)):
-                pfq_residue(family.at(primes[-1]), primes[-1], k, e)
-            return
+        got = pfq_residues(family, primes, k, e)
         assert len(got) == len(primes)
         for p, batched in zip(primes, got):
             alone = single_prime(family, p, k, e)
@@ -478,18 +475,18 @@ class TestPfqResidues:
             else:
                 assert batched == alone
 
-    def test_guard_on_the_denominator(self):
+    def test_two_factors_of_p_in_the_denominator(self):
         # term j is 1 / (1/2)_j, of valuation -1 from j = 3 at p = 5, but the step
-        # denominators 2j+1 and j+1 hold 5 at j = 2 and j = 4: vp(Q) = 2 > guard 1,
-        # so the tree sums this prefix again with the guard raised to 2
+        # denominators 2j+1 and j+1 hold 5 at j = 2 and j = 4: vp(Q) = 2, one more
+        # than any single term needs, and the prefix is reduced mod 5^(k + 2 + max(0, -e))
         spec = SeriesSpec((F(1),), (F(1, 2),), F(1), 5)
         family = SeriesFamily(spec.top, spec.bottom, spec.argument, lambda p: 5)
         for e in (0, 1):
             expected = pfq_residue(spec, 5, 2, e)
             assert expected == reduce_mod(5**e * pfq_truncated(spec), 5, 2)
             assert pfq_residues(family, [5], 2, e) == [expected]
-        # with 2p steps the denominator vanishes mod p^(k+guard) and a term reaches
-        # valuation -2, below the oracle's guard: the tree still gives the exact residue
+        # with 2p steps vp(Q) = 4 and a term reaches valuation -2, below the oracle's
+        # guard of one per bottom parameter: the tree still gives the exact residue
         spec = SeriesSpec(spec.top, spec.bottom, spec.argument, 10)
         family = SeriesFamily(spec.top, spec.bottom, spec.argument, lambda p: 10)
         assert isinstance(single_prime(family, 5, 2, 2), GuardExceeded)
@@ -498,6 +495,63 @@ class TestPfqResidues:
     def test_truncation_must_not_decrease(self):
         with pytest.raises(ValueError, match="decreases"):
             pfq_residues(SeriesFamily((F(1),), (), F(1), lambda p: 10 - p), [3, 5], 2)
+
+    def test_bottom_pair_raises(self):
+        # vp(Q) is counted for rational bottom parameters only; a top pair never enters Q
+        pair = ConjugatePair(F(1), F(1, 2), TRACE_I)
+        with pytest.raises(ValueError, match="rational bottom"):
+            pfq_residues(SeriesFamily((F(1, 2),), (F(1), pair), F(1), lambda p: p), [3, 5], 2)
+        family = SeriesFamily((F(1, 2), pair), (F(1),), F(1), lambda p: p - 1)
+        assert pfq_residues(family, [5, 7], 2) == [pfq_residue(family.at(p), p, 2) for p in (5, 7)]
+
+
+def counted_valuations(family, primes):
+    """``_prefix_valuations`` of family at primes, with the steps ``pfq_residues`` builds."""
+    ps, _ = _step_factors(family.at(primes[-1]))
+    return _prefix_valuations(family, primes, [family.truncation(p) for p in primes], len(ps))
+
+
+def summed_valuations(family, primes):
+    """vp(Q) of each prefix by brute force: the sum of vp(qs[j]) over its steps."""
+    _, qs = _step_factors(family.at(primes[-1]))
+    return [sum(p_split(q, p)[0] for q in qs[:family.truncation(p)]) for p in primes]
+
+
+class TestPrefixValuations:
+    """The count of vp(Q) that sets each prefix's precision, against the step denominators.
+
+    Counting too much still gives every residue right, so only this comparison sees it."""
+
+    @pytest.mark.parametrize("family", BATCHED_FAMILIES)
+    @pytest.mark.parametrize("window", [(3, 3000), (10000, 10100)])
+    def test_declared_families(self, family, window):
+        family, _, _, _, least = BATCHED_FAMILIES[family]
+        primes = primes_between(max(least, window[0]), window[1])
+        assert counted_valuations(family, primes) == summed_valuations(family, primes)
+
+    @pytest.mark.parametrize("family, primes, expected", [
+        # at p = 5, 1 + 2j holds 5 at j = 2, 7 and 25 at j = 12, and j + 1 holds 5 at j = 4, 9
+        (SeriesFamily((F(1),), (F(1, 2),), F(1), lambda p: 13), [3, 5, 7], [10, 6, 3]),
+        # a truncation past p: the step's own j + 1 is divisible by p
+        (SeriesFamily((F(1, 2),), (), F(1), lambda p: 2 * p + 3), [3, 5, 7], [4, 2, 2]),
+        # 5 divides the argument's denominator: each of the 3 steps holds it once, and 2 + 3j
+        # holds it at j = 1
+        (SeriesFamily((F(1, 2),), (F(2, 3),), F(1, 5), lambda p: 3), [3, 5, 7], [1, 4, 0]),
+        # 3 divides a top denominator: each of the 2 steps at p = 3 holds it once; the top's
+        # own factors 1 + 3j and 1 + 2j are no concern of Q
+        (SeriesFamily((F(1, 3), F(1, 2)), (F(4),), F(2), lambda p: p - 1), [3, 5, 7], [2, 1, 1]),
+        # the top factor -2 + j vanishes at j = 2 and cuts the steps before 1 + 2j holds 5
+        (SeriesFamily((F(-2),), (F(1, 2),), F(1), lambda p: 13), [3, 5, 7], [1, 0, 0]),
+    ])
+    def test_edge_cases(self, family, primes, expected):
+        assert counted_valuations(family, primes) == summed_valuations(family, primes) == expected
+
+    @given(residue_families())
+    @settings(max_examples=200, deadline=None)
+    def test_against_the_step_denominators(self, case):
+        family, primes, _, _ = case
+        if primes:
+            assert counted_valuations(family, primes) == summed_valuations(family, primes)
 
 
 class TestWhippleC1:
