@@ -297,40 +297,39 @@ def product_tree(factors: Sequence[int]) -> int:
     return split_product(lambda a, c: math.prod(factors[a:c]), mul, None, 0, len(factors))
 
 
-def remainder_tree(run, ends: list[int], moduli: list[int], compose, reduce, one) -> list:
+def remainder_tree(run, ends: list[int], moduli: list[int], compose, reduce) -> list:
     """For each i, the node of the steps 0..ends[i]-1 reduced mod moduli[i].
 
     An accumulating remainder tree (Costa-Gerbicz-Harvey) over any node type:
-    run, compose and reduce are those of ``split_product``, and one is the
-    empty node.  The ends must never decrease; equal ends give empty
-    segments.  Segment i, the steps ends[i-1]..ends[i]-1, is summed by
-    ``split_product``; only prefixes i, i+1, ... read it, so it is reduced
-    mod the product of their moduli when its step count times the bit length
-    of its end, about its unreduced size, exceeds their summed bit lengths.
-    Product trees of the segments and of the moduli are built bottom-up,
-    then each node receives the composition of every segment to its left,
-    reduced mod the product of its own moduli.  The root's product is never
-    formed.
+    run, compose and reduce are those of ``split_product``.  The ends must
+    never decrease; equal ends give empty segments.  Segment i, the steps
+    ends[i-1]..ends[i]-1, is summed by ``split_product``; only prefixes i,
+    i+1, ... read it, so a segment of more than ``LEAF_STEPS`` steps is
+    reduced mod the product of their moduli when its step count times the
+    bit length of its end, about its unreduced size, exceeds their summed
+    bit lengths.  Product trees of the segments and of the moduli are built
+    bottom-up, then each node receives the composition of every segment to
+    its left, reduced mod the product of its own moduli.  The root's product
+    is never formed.
     """
     if not ends:
         return []
     if ends[0] < 0 or any(b < a for a, b in zip(ends, ends[1:])):
         raise ValueError("the sequence of ends starts below 0 or decreases")
     bits = [*accumulate(m.bit_length() for m in reversed(moduli))][::-1]  # bits[i]: moduli[i:]
-    segments = [split_product(run, compose, reduce, a, b,
-                              product_tree(moduli[i:]) if (b - a) * b.bit_length() > bits[i] else 0)
+    segments = [split_product(run, compose, reduce, a, b, product_tree(moduli[i:])
+                              if b - a > LEAF_STEPS and (b - a) * b.bit_length() > bits[i] else 0)
                 for i, (a, b) in enumerate(zip([0, *ends], ends))]
     seg_levels, mod_levels = [segments], [moduli]
     while len(seg_levels[-1]) > 2:
         seg_levels.append(_pairwise(seg_levels[-1], compose))
         mod_levels.append(_pairwise(mod_levels[-1], mul))
-    before = [one]
+    before = [None]  # the leftmost node of each level has no segment to its left
     for segs, mods in zip(reversed(seg_levels), reversed(mod_levels)):
-        before = [
-            reduce(compose(before[i // 2], segs[i - 1]) if i % 2 else before[i // 2], mod)
-            for i, mod in enumerate(mods)
-        ]
-    return [reduce(compose(b, s), m) for b, s, m in zip(before, segments, moduli)]
+        before = [None, *(reduce(compose(before[i // 2], segs[i - 1]) if i > 1 else segs[0], mods[i])
+                          if i % 2 else reduce(before[i // 2], mods[i]) for i in range(1, len(mods)))]
+    return [reduce(segments[0], moduli[0]),
+            *map(reduce, map(compose, before[1:], segments[1:]), moduli[1:])]
 
 
 def cut_product(f: list[int], g: list[int]) -> list[int]:
@@ -380,7 +379,7 @@ def rising_coefficients(leaves: list[tuple[int, int]], k: int) -> list[list[int]
 
     ends = [n for n, _ in leaves]
     moduli = [modulus for _, modulus in leaves]
-    return remainder_tree(run, ends, moduli, cut_product, _reduce_coefficients, one)
+    return remainder_tree(run, ends, moduli, cut_product, _reduce_coefficients)
 
 
 def pochhammer_pair(param: Union[RationalLike, ConjugatePair], n: int) -> tuple[int, int]:

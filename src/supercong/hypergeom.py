@@ -14,11 +14,12 @@ steps gives the sum as one unreduced integer pair, with no gcd per term.
 P and Q are built whole, not step by step: each parameter's cleared factors
 over j < n are one integer progression (``exact.cleared_progression``,
 iterated in C), and the step factors are the progressions multiplied
-pointwise with ``map(mul, ...)``; b1 shares its top progressions between
-its two series and its prefactor.  ``pfq_pair`` serves the exact identities
-(b1, c1, c3), which compare their two sides by cross-multiplication, and
+pointwise with ``map(mul, ...)``.  ``pfq_pair`` serves the exact identities
+c1 and c3, which compare their two sides by cross-multiplication, and
 ``pfq_truncated``, the reduced ``Fraction`` for ``supercong hyper`` and the
-tests.  ``pfq_residues`` gives the residues of the congruence checks: a
+tests.  b1 clears its two series, which share P(j), and its prefactor to
+integer step factors in p and j, and sums all three in one walk.
+``pfq_residues`` gives the residues of the congruence checks: a
 ``SeriesFamily`` declares parameters that do not depend on p and a
 truncation index that does, and one accumulating remainder tree
 (``exact.remainder_tree``) over its step factors, with the truncations as
@@ -47,7 +48,6 @@ from typing import Callable
 
 from .exact import (
     TRACE_I,
-    TRACE_OMEGA,
     ConjugatePair,
     NegativeValuation,
     ResidueInt,
@@ -57,7 +57,6 @@ from .exact import (
     is_prime,
     p_split,
     pochhammer_pair,
-    product_tree,
     reduce_mod,
     remainder_tree,
     split_product,
@@ -105,11 +104,6 @@ def _as_param(x) -> Fraction | ConjugatePair:
     return x if isinstance(x, ConjugatePair) else Fraction(x)
 
 
-def _progressions(params, n: int) -> list[Progression]:
-    """Each parameter's cleared factor progression over j < n (``cleared_progression``)."""
-    return [cleared_progression(param, n) for param in params]
-
-
 def _products(progressions: list[Progression], n: int, scale: int = 1) -> tuple[list[int], int]:
     """[scale * prod of the factors f(j), for j < n], and the product of the denominators."""
     out = repeat(scale, n)
@@ -118,20 +112,20 @@ def _products(progressions: list[Progression], n: int, scale: int = 1) -> tuple[
     return list(out), math.prod(den for _, den in progressions)
 
 
-def _steps(
-    top: tuple[list[int], int], bottom: list[Progression], argument: Fraction, n: int
-) -> tuple[list[int], list[int]]:
+def _step_factors(spec: SeriesSpec) -> tuple[list[int], list[int]]:
     """Integers P(j), Q(j) with term j+1 = term j * P(j) / Q(j), for each step j < n to a nonzero
     term.
 
-    top is the product of the top progressions (``_products``), which a
-    caller may share between series.  P(j) = z_num * bottom_den * top(j) and
+    Each parameter's factors over j < n are one progression (``cleared_progression``).
+    P(j) = z_num * bottom_den * prod of the top factors at j and
     Q(j) = z_den * top_den * (j + 1) * prod of the bottom factors at j.  The
     steps stop at a zero argument or the first vanishing top factor, but
     every bottom factor up to n is still tested: the first that vanishes, in
     j and then in parameter order, raises ZeroDenominatorPochhammer.
     """
-    top_product, top_den = top
+    n, argument = spec.terms, spec.argument
+    top_product, top_den = _products([cleared_progression(a, n) for a in spec.top], n)
+    bottom = [cleared_progression(b, n) for b in spec.bottom]
     qs, bottom_den = _products([(range(1, n + 1), 1), *bottom], n, argument.denominator * top_den)
     if 0 in qs:
         j = qs.index(0)
@@ -144,21 +138,11 @@ def _steps(
     return ps, qs
 
 
-def _step_factors(spec: SeriesSpec) -> tuple[list[int], list[int]]:
-    """``_steps`` of spec, from its parameters' progressions."""
-    n = spec.terms
-    return _steps(_products(_progressions(spec.top, n), n), _progressions(spec.bottom, n),
-                  spec.argument, n)
-
-
 def _compose(left: tuple[int, int, int], right: tuple[int, int, int]) -> tuple[int, int, int]:
     """(P, Q, T) of the steps of ``left`` followed by those of ``right``."""
     P1, Q1, T1 = left
     P2, Q2, T2 = right
     return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
-
-
-_ONE = (1, 1, 0)  # the (P, Q, T) of no step
 
 
 def _reduce(node: tuple[int, int, int], modulus: int) -> tuple[int, int, int]:
@@ -169,12 +153,12 @@ def _reduce(node: tuple[int, int, int], modulus: int) -> tuple[int, int, int]:
 def _run(ps: list[int], qs: list[int]):
     """The run of ``exact.split_product`` over the steps ps, qs: (P, Q, T) of the steps a..c-1,
     with P and Q the products of ps and qs and T / Q = sum over j in a..c-1 of
-    prod_{i=a}^{j} ps[i] / qs[i].  Steps past the end of ps, which ``_steps`` cuts at a
-    vanishing top factor, are empty.
+    prod_{i=a}^{j} ps[i] / qs[i].  Steps past the end of ps, which ``_step_factors`` cuts
+    at a vanishing top factor, are empty.
     """
 
     def run(a: int, c: int) -> tuple[int, int, int]:
-        P, Q, T = _ONE
+        P, Q, T = 1, 1, 0
         for j in range(a, min(c, len(ps))):
             P *= ps[j]
             T = T * qs[j] + P
@@ -182,11 +166,6 @@ def _run(ps: list[int], qs: list[int]):
         return P, Q, T
 
     return run
-
-
-def _sum_pair(ps: list[int], qs: list[int]) -> tuple[int, int]:
-    _, Q, T = split_product(_run(ps, qs), _compose, _reduce, 0, len(ps))
-    return Q + T, Q
 
 
 def pfq_pair(spec: SeriesSpec) -> tuple[int, int]:
@@ -197,7 +176,9 @@ def pfq_pair(spec: SeriesSpec) -> tuple[int, int]:
     1 + T / Q with no gcd, so its cost is a few multiplications of the
     final size instead of one reduced ``Fraction`` per term.
     """
-    return _sum_pair(*_step_factors(spec))
+    ps, qs = _step_factors(spec)
+    _, Q, T = split_product(_run(ps, qs), _compose, _reduce, 0, len(ps))
+    return Q + T, Q
 
 
 def pfq_truncated(spec: SeriesSpec) -> Fraction:
@@ -246,11 +227,11 @@ class SeriesFamily:
 
 def _prefix_valuations(family: SeriesFamily, primes: list[int], ends: list[int], steps: int) -> list[int]:
     """vp(Q) of the prefix of each p of primes: of the product of the step denominators Q(j)
-    over j < min(end, steps), with end its truncation and steps the count ``_steps`` left.
+    over j < min(end, steps), with end its truncation and steps the count ``_step_factors`` left.
 
     Q(j) = z_den * top_den * (j + 1) * prod of n + j*d over the bottom parameters n/d, which
-    must be rational (``_steps``).  A factor n + j*d with p not dividing d is divisible by p
-    only at j = -n/d (mod p), where its full valuation is read; with p | d it is a unit.
+    must be rational (``_step_factors``).  A factor n + j*d with p not dividing d is divisible
+    by p only at j = -n/d (mod p), where its full valuation is read; with p | d it is a unit.
     """
     constant = family.argument.denominator * math.prod(cleared_factor(a)[1] for a in family.top)
     linear = [(1, 1), *((b.numerator, b.denominator) for b in family.bottom)]
@@ -291,7 +272,7 @@ def pfq_residues(
     ps, qs = _step_factors(family.at(primes[-1]))
     precisions = [k + v + max(0, -e) for v in _prefix_valuations(family, primes, ends, len(ps))]
     moduli = [p**precision for p, precision in zip(primes, precisions)]
-    prefixes = remainder_tree(_run(ps, qs), ends, moduli, _compose, _reduce, _ONE)
+    prefixes = remainder_tree(_run(ps, qs), ends, moduli, _compose, _reduce)
     return [_prefix_residue(node, p, k, e, precision)
             for node, p, precision in zip(prefixes, primes, precisions)]
 
@@ -454,6 +435,13 @@ def whipple_c1_check(n: int, y) -> IdentityOutcome:
     return IdentityOutcome(lhs, rhs)
 
 
+def _b1_compose(left: tuple, right: tuple) -> tuple:
+    """(P, Q_L, T_L, Q_S, T_S, A, D) of left then right: two ``_compose`` sharing P, two products."""
+    P1, QL1, TL1, QS1, TS1, A1, D1 = left
+    P2, QL2, TL2, QS2, TS2, A2, D2 = right
+    return P1 * P2, QL1 * QL2, TL1 * QL2 + P1 * TL2, QS1 * QS2, TS1 * QS2 + P1 * TS2, A1 * A2, D1 * D2
+
+
 def bailey_b1_check(p: int) -> IdentityOutcome:
     """Bailey's 4F3(1) transformation specialized at a = 1/2, b = (1 - wp)/2, w^3 = 1.
 
@@ -462,25 +450,38 @@ def bailey_b1_check(p: int) -> IdentityOutcome:
     rhs = p (1/2)_m ((1-p)/2)_m / [(1+wp/2)_m (1+w^2 p/2)_m]
           * 4F3[1/2, (1-wp)/2, (1-w^2 p)/2, (1-p)/2; 1, 3/4, 5/4; 1]_m
 
-    The omega parameters come in the conjugate pairs (1-wp)/2, (1-w^2 p)/2
-    and 1+wp/2, 1+w^2 p/2, so both sides are rational.
+    The omega parameters come in the conjugate pairs (1-wp)/2, (1-w^2 p)/2 and
+    1+wp/2, 1+w^2 p/2, so both sides are rational.  Let m = (p-1)/2 and, at step j < m,
+    h = 2j+1, s = h-p and t = 2j+2.  The top factors 1/2+j = h/2, (1-p)/2+j = s/2 and the pair's
+    (h^2+hp+p^2)/4 are P(j) = h s (h^2+hp+p^2) over 16, for both series; the lhs bottom factors
+    j+1, the pair's (t^2-tp+p^2)/4 and 1+p/2+j = (t+p)/2 are Q_L(j) = 2(j+1)(t^2-tp+p^2)(t+p)
+    over 16; and j+1, 1+j, 3/4+j, 5/4+j are Q_S(j) = (j+1)^2 (4j+3)(4j+5) over 16.  The
+    prefactor's 4^m cancel: it is A / D, with A the product of h s and D that of t^2-tp+p^2.
+    One ``exact.split_product`` walk over the node (P, Q_L, T_L, Q_S, T_S, A, D) gives both
+    sums, each as 1 + T/Q, and the prefactor.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    m = (p - 1) // 2
-    b_pair = ConjugatePair(F(1, 2), F(-p, 2), TRACE_OMEGA)
-    d_pair = ConjugatePair(F(1), F(p, 2), TRACE_OMEGA)
-    half, b, shifted = _progressions((F(1, 2), b_pair, F(1 - p, 2)), m)
-    top = _products([half, b, shifted], m)  # shared by the two series
-    d, e = _progressions((d_pair, 1 + F(p, 2)), m)
-    lhs = _sum_pair(*_steps(top, [d, e], F(1), m))
-    series = _sum_pair(*_steps(top, _progressions(THM1.bottom, m), F(1), m))  # 1, 3/4, 5/4
-    # (1/2)_m ((1-p)/2)_m / (d_pair)_m from the same progressions
-    prefactor = (
-        product_tree(list(map(mul, half.factors, shifted.factors))) * d.den**m,
-        (half.den * shifted.den) ** m * product_tree(d.factors),
-    )
-    return IdentityOutcome(lhs, _product((p, 1), prefactor, series))
+    m, pp = (p - 1) // 2, p * p
+    hs, ts, js = range(1, p - 1, 2), range(2, p + 1, 2), range(1, m + 1)
+    a_factors = list(map(mul, hs, range(1 - p, -1, 2)))  # h s
+    d_factors = list(map(pp.__add__, map(mul, ts, range(2 - p, 1, 2))))  # t(t-p) + p^2
+    ps = list(map(mul, a_factors, map(pp.__add__, map(mul, hs, range(1 + p, 2 * p - 1, 2)))))
+    qls = list(map(mul, map(mul, ts, d_factors), range(2 + p, 2 * p + 1, 2)))  # 2(j+1) = t
+    qss = list(map(mul, map(mul, js, js), map(mul, range(3, 2 * p, 4), range(5, 2 * p + 1, 4))))
+
+    def run(a: int, c: int) -> tuple:
+        P, QL, TL, QS, TS = 1, 1, 0, 1, 0
+        for j in range(a, c):
+            P *= ps[j]
+            TL = TL * qls[j] + P
+            QL *= qls[j]
+            TS = TS * qss[j] + P
+            QS *= qss[j]
+        return P, QL, TL, QS, TS, math.prod(a_factors[a:c]), math.prod(d_factors[a:c])
+
+    _, QL, TL, QS, TS, A, D = split_product(run, _b1_compose, None, 0, m)
+    return IdentityOutcome((QL + TL, QL), (p * A * (QS + TS), D * QS))
 
 
 def _c3_closed_form(p: int) -> tuple[int, ConjugatePair, ConjugatePair]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import pair_factor, pair_pochhammer, pochhammer_mod
 from qzeta import QZeta, rising, zeta
+from supercong import exact
 from supercong.exact import (
     TRACE_I,
     TRACE_OMEGA,
@@ -435,7 +436,7 @@ class TestRemainderTree:
         for count in (1, 2, 3, 4, 5, 8, 9, 16, 17):  # one leaf, odd and even leaf counts
             ends = sorted(rng.choices(range(n + 1), k=count))
             moduli = [rng.randrange(2, 10**15) for _ in ends]
-            out = remainder_tree(run, ends, moduli, mul, int_reduce, 1)
+            out = remainder_tree(run, ends, moduli, mul, int_reduce)
             assert out == [math.prod(xs[:e]) % m for e, m in zip(ends, moduli)], (count, ends)
 
     @pytest.mark.parametrize("n", WALK_LENGTHS)
@@ -443,7 +444,7 @@ class TestRemainderTree:
         xs, run = int_steps(n, 300 + n, positive=True)
         ends = sorted({0, n // 3, n // 2, n})
         moduli = [10 ** (9 * n + 1) + i for i in range(len(ends))]
-        out = remainder_tree(run, ends, moduli, mul, int_reduce, 1)
+        out = remainder_tree(run, ends, moduli, mul, int_reduce)
         assert out == [math.prod(xs[:e]) for e in ends]
 
     @pytest.mark.parametrize("ends", [
@@ -453,7 +454,7 @@ class TestRemainderTree:
     def test_repeated_ends_are_empty_segments(self, ends):
         xs, run = int_steps(100, 17)
         moduli = [7**4, 11**4, 13**4, 7**4, 2**61 - 1, 10**20 + 39, 17**4, 19**4][: len(ends)]
-        out = remainder_tree(run, ends, moduli, mul, int_reduce, 1)
+        out = remainder_tree(run, ends, moduli, mul, int_reduce)
         assert out == [math.prod(xs[:e]) % m for e, m in zip(ends, moduli)]
 
     def test_first_segment_is_reduced_mod_every_modulus(self):
@@ -461,7 +462,7 @@ class TestRemainderTree:
         xs, run = int_steps(100, 3, positive=True)
         ends, moduli = [40, 60, 100], [101**3, 103**3, 107**3]
         seen = []
-        out = remainder_tree(run, ends, moduli, mul, lambda a, m: seen.append(m) or a % m, 1)
+        out = remainder_tree(run, ends, moduli, mul, lambda a, m: seen.append(m) or a % m)
         assert math.prod(moduli) in seen
         assert out == [math.prod(xs[:e]) % m for e, m in zip(ends, moduli)]
 
@@ -474,7 +475,7 @@ class TestRemainderTree:
         ends, moduli = [n for n, _ in leaves], [m for _, m in leaves]
         seen = []
         out = remainder_tree(rising_run(k), ends, moduli, cut_product,
-                             lambda f, m: seen.append(m) or [c % m for c in f], [1] + [0] * (k - 1))
+                             lambda f, m: seen.append(m) or [c % m for c in f])
         assert out == [[c % m for c in f] for f, m in zip(rising_prefixes(ends, k), moduli)]
         long_segments = [i for i, (a, b) in enumerate(zip([0, *ends], ends)) if b - a > 500]
         assert len(long_segments) == 2 and all(math.prod(moduli[i:]) in seen for i in long_segments)
@@ -485,7 +486,7 @@ class TestRemainderTree:
         for r in (1, 2, 17, 600, p - 1):
             ends = [r - 1, p - 1]
             out = remainder_tree(rising_run(k), ends, [p**k] * 2, cut_product,
-                                 lambda f, m: [c % m for c in f], [1] + [0] * (k - 1))
+                                 lambda f, m: [c % m for c in f])
             assert out == [[c % p**k for c in f] for f in rising_prefixes(ends, k)], r
 
     def test_only_segments_that_outgrow_their_readers_moduli_are_reduced(self):
@@ -495,19 +496,30 @@ class TestRemainderTree:
         xs, run = int_steps(102, 5, positive=True)
         ends, moduli = [40, 42, 100, 101, 102], [101**3, 103**3, 107**3, 109**3, 113**3]
         seen = []
-        out = remainder_tree(run, ends, moduli, mul, lambda a, m: seen.append(m) or a % m, 1)
+        out = remainder_tree(run, ends, moduli, mul, lambda a, m: seen.append(m) or a % m)
         assert out == [math.prod(xs[:e]) % m for e, m in zip(ends, moduli)]
         assert math.prod(moduli) in seen and math.prod(moduli[2:]) in seen
         assert math.prod(moduli[1:]) not in seen and math.prod(moduli[3:]) not in seen
 
+    def test_a_first_segment_left_off_the_leftmost_path_is_caught(self, monkeypatch):
+        # mutation check: with no empty node on the leftmost path, segment 0 alone carries the
+        # first steps into every prefix, so a segment 0 that comes back empty must change them all
+        xs, run = int_steps(100, 11, positive=True)
+        ends, moduli = [30, 31, 60, 100], [101**3, 103**3, 107**3, 109**3]
+        split = exact.split_product
+        monkeypatch.setattr(exact, "split_product", lambda run, compose, reduce, a, c, modulus=0:
+                            1 if a == 0 else split(run, compose, reduce, a, c, modulus))
+        out = remainder_tree(run, ends, moduli, mul, int_reduce)
+        assert all(o != math.prod(xs[:e]) % m for o, e, m in zip(out, ends, moduli))
+
     def test_no_ends(self):
-        assert remainder_tree(lambda a, c: 1 / 0, [], [], mul, int_reduce, 1) == []
+        assert remainder_tree(lambda a, c: 1 / 0, [], [], mul, int_reduce) == []
 
     @pytest.mark.parametrize("ends", [[5, 4], [0, 3, 2, 9], [-1], [-1, 4]])
     def test_decreasing_or_negative_ends_are_rejected(self, ends):
         _, run = int_steps(10, 0)
         with pytest.raises(ValueError, match="decreases"):
-            remainder_tree(run, ends, [7] * len(ends), mul, int_reduce, 1)
+            remainder_tree(run, ends, [7] * len(ends), mul, int_reduce)
 
 
 class TestPolynomialHelpers:

@@ -26,6 +26,7 @@ from supercong.exact import (
     cleared_progression,
     p_split,
     pochhammer,
+    pochhammer_pair,
     reduce_mod,
     vp,
 )
@@ -48,6 +49,7 @@ from supercong.hypergeom import (
     half_harmonic2_spec,
     kilbourn_lhs,
     kilbourn_spec,
+    pfq_pair,
     pfq_residues,
     pfq_truncated,
     thm1_rhs,
@@ -584,7 +586,27 @@ class TestWhippleC1:
             assert whipple_c1_check(n, y).equal
 
 
+def b1_sides_by_pfq_pair(p):
+    """Both sides of b1 from the general evaluator, as Fractions: the declared lhs 4F3 with its
+    ``ConjugatePair`` parameters, and p times the Pochhammer prefactor times the rhs 4F3, which
+    has the same top parameters over the Theorem 1 bottom 1, 3/4, 5/4."""
+    m = (p - 1) // 2
+    top = (F(1, 2), ConjugatePair(F(1, 2), F(-p, 2), TRACE_OMEGA), F(1 - p, 2))
+    d_pair = ConjugatePair(F(1), F(p, 2), TRACE_OMEGA)
+    lhs = F(*pfq_pair(SeriesSpec(top, (d_pair, 1 + F(p, 2)), F(1), m)))
+    prefactor = F(*pochhammer_pair(F(1, 2), m)) * F(*pochhammer_pair(F(1 - p, 2), m))
+    prefactor /= F(*pochhammer_pair(d_pair, m))
+    return lhs, p * prefactor * F(*pfq_pair(SeriesSpec(top, THM1.bottom, F(1), m)))
+
+
 class TestBaileyB1:
+    def test_sides_match_the_general_evaluator(self):
+        # the integer step factors of bailey_b1_check against the cleared progressions of
+        # pfq_pair and pochhammer_pair, at every odd prime below 1000 and at 2003
+        for p in [*primes_between(3, 1000), 2003]:
+            outcome = bailey_b1_check(p)
+            assert (outcome.lhs, outcome.rhs) == b1_sides_by_pfq_pair(p), p
+
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_corrected_reading_holds(self, p):
         outcome = bailey_b1_check(p)
